@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import EstimationError, ParseError, ValidationError
 from .estimation import (
     AbsoluteTolerance,
@@ -350,11 +348,22 @@ def _cmd_simulate(args) -> int:
     if first > last:
         raise ValidationError(f"empty year range {first}:{last}")
     years = list(range(first, last + 1))
-    sigma = float(doc.get("noise_sigma", 0.0))
-    if sigma < 0:
-        raise ValidationError(f"noise_sigma must be >= 0, got {sigma}")
-    seed = int(doc.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    sigma = doc.get("noise_sigma", 0.0)
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+        raise ParseError(f"{args.params}: noise_sigma must be a number, got {sigma!r}")
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(f"{args.params}: seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = None
+    if sigma > 0.0:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     victim, victim_params = _sim_series(doc["victim"], "victim", years, sigma, rng)
     killer, killer_params = _sim_series(doc["killer"], "killer", years, sigma, rng)

@@ -4,6 +4,9 @@ logistic fitting and the Fisher-Pry share-substitution fit.
 
 All logarithms are natural. Non-positive observations are dropped from
 log-space fits (and counted), never clamped.
+
+numpy and scipy.special are imported inside the functions that need them,
+so commands that fit nothing (simulate, waves) never load them.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from scipy import stats
 
 from .errors import EstimationError, ValidationError
 from .growth import LogisticParams, logistic_value
@@ -59,7 +59,9 @@ class TTestTolerance:
     alpha: float = 0.05
 
     def tolerance(self, fit: RegressionFit) -> float:
-        t_crit = float(stats.t.ppf(1.0 - self.alpha / 2.0, fit.n - 2))
+        from scipy import special
+
+        t_crit = float(special.stdtrit(fit.n - 2, 1.0 - self.alpha / 2.0))
         return t_crit * fit.se_beta
 
 
@@ -100,9 +102,13 @@ class FisherPryFit:
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
-    Requires n >= 3 (residual degrees of freedom) and non-degenerate xs.
-    Perfect fits report se_estimate 0, infinite F and zero p values.
+    Requires n >= 3 (residual degrees of freedom), finite values and
+    non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
+    zero p values.
     """
+    import numpy as np
+    from scipy import special
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     n = len(x)
@@ -110,6 +116,8 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise EstimationError(f"xs and ys lengths differ ({n} vs {len(y)})")
     if n < 3:
         raise EstimationError(f"need at least 3 observations, got {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise EstimationError("xs and ys must be finite (NaN or infinity found)")
     x_mean = float(x.mean())
     y_mean = float(y.mean())
     dx = x - x_mean
@@ -137,8 +145,8 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     else:
         t_beta = math.inf if beta != 0.0 else 0.0
     f_stat = t_beta * t_beta
-    p_value_beta = float(2.0 * stats.t.sf(abs(t_beta), dof))
-    p_value_f = float(stats.f.sf(f_stat, 1, dof))
+    p_value_beta = float(2.0 * special.stdtr(dof, -abs(t_beta)))
+    p_value_f = float(special.fdtrc(1, dof, f_stat))
 
     return RegressionFit(
         alpha=alpha,
@@ -217,8 +225,12 @@ def killer_fit(
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _logit_ols(K: float, t: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    """Closed-form (a, b, level SSE) for a fixed capacity candidate K."""
+def _logit_ols(np, K: float, t, v) -> tuple[float, float, float]:
+    """Closed-form (a, b, level SSE) for a fixed capacity candidate K.
+
+    np is the numpy module, passed in so that the search over K does not
+    run an import statement per candidate.
+    """
     z = np.log((K - v) / v)
     t_mean = t.mean()
     z_mean = z.mean()
@@ -252,6 +264,8 @@ def logistic_fit(
     series must rise somewhere (constant or decreasing-only data has no
     S-shaped growth to fit).
     """
+    import numpy as np
+
     pts = [(y, v) for y, v in series.points if v > 0.0]
     if len(pts) < 4:
         raise EstimationError(
@@ -270,7 +284,7 @@ def logistic_fit(
     u_hi = math.log((k_max_factor - 1.0) * v_max)
 
     def sse_at(u: float) -> float:
-        return _logit_ols(v_max + math.exp(u), t, v)[2]
+        return _logit_ols(np, v_max + math.exp(u), t, v)[2]
 
     grid = np.linspace(u_lo, u_hi, grid_size)
     sses = [sse_at(u) for u in grid]
@@ -293,7 +307,7 @@ def logistic_fit(
             f_d = sse_at(d)
 
     K = v_max + math.exp((lo + hi) / 2.0)
-    a, b, _ = _logit_ols(K, t, v)
+    a, b, _ = _logit_ols(np, K, t, v)
     if b == 0.0:
         raise EstimationError("degenerate fit: zero growth rate")
     return LogisticParams(K=K, a=a, b=b)

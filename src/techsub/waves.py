@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from statistics import mean, stdev
-
-from scipy import stats
 
 from .errors import ValidationError
 from .ingest import TimeSeries
@@ -193,6 +192,43 @@ def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | N
     return None
 
 
+def _average_ranks(values: list[float]) -> list[float]:
+    """1-based ranks, tied values sharing the mean of their positions."""
+    ranks = [0.0] * len(values)
+    below = 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, tied in groupby(order, key=values.__getitem__):
+        tied = list(tied)
+        for i in tied:
+            ranks[i] = below + (len(tied) + 1) / 2.0
+        below += len(tied)
+    return ranks
+
+
+def _spearman_rho(xs: list[float], ys: list[float]) -> float | None:
+    """Spearman rank correlation: Pearson correlation of average ranks.
+
+    None when fewer than two pairs or either side is constant. Ranks are
+    half-integers centred on (n+1)/2, so every sum below is exact; the
+    scaling, square roots and clip follow numpy.corrcoef's order, which
+    makes the result equal to scipy.stats.spearmanr's to the last bit.
+    """
+    n = len(xs)
+    if n < 2:
+        return None
+    centre = (n + 1) / 2.0
+    rx = [r - centre for r in _average_ranks(xs)]
+    ry = [r - centre for r in _average_ranks(ys)]
+    scale = 1.0 / (n - 1)
+    sxx = sum(a * a for a in rx) * scale
+    syy = sum(b * b for b in ry) * scale
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    sxy = sum(a * b for a, b in zip(rx, ry)) * scale
+    rho = sxy / math.sqrt(syy) / math.sqrt(sxx)
+    return max(-1.0, min(1.0, rho))
+
+
 @dataclass(frozen=True)
 class IntroGapDiagnostic:
     """Introduction-gap vs disruption-period pairs with their rank correlation."""
@@ -216,8 +252,5 @@ def intro_gap_diagnostic(
         gap = abs(killer.begin_year - established.begin_year)
         dp = established.end_year - established.peak_year
         points.append((gap, dp))
-    spearman = None
-    if len(points) >= 2:
-        rho = stats.spearmanr([g for g, _ in points], [d for _, d in points]).statistic
-        spearman = float(rho) if math.isfinite(rho) else None
+    spearman = _spearman_rho([g for g, _ in points], [d for _, d in points])
     return IntroGapDiagnostic(points=tuple(points), spearman=spearman)

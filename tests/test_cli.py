@@ -1,10 +1,39 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import techsub
 from conftest import write_csv, write_manifest
+
+SRC = str(Path(techsub.__file__).resolve().parent.parent)
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's techsub."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+def constant_gap_manifest(tmp_path):
+    """Three technologies, each arriving two years after the last."""
+    write_csv(tmp_path / "a.csv", [(2000, 1.0), (2001, 3.0), (2002, 2.0), (2003, 0.0)])
+    write_csv(tmp_path / "b.csv", [(2002, 1.0), (2003, 5.0), (2004, 1.0), (2005, 0.0)])
+    write_csv(tmp_path / "c.csv", [(2004, 1.0), (2005, 3.0), (2006, 6.0)])
+    return write_manifest(
+        tmp_path / "m.json",
+        {"dataset": "steady", "series": [{"file": f} for f in ("a.csv", "b.csv", "c.csv")]},
+    )
 
 
 @pytest.fixture
@@ -298,6 +327,15 @@ class TestWaves:
         assert tech["begin_year"] == 2001
         assert tech["end_year"] == 2003
 
+    def test_constant_gaps_give_null_spearman_and_quiet_stderr(self, tmp_path):
+        manifest = constant_gap_manifest(tmp_path)
+        done = run_python("-m", "techsub.cli", "waves", manifest, "--no-timestamp")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        gaps = json.loads(done.stdout)["payload"]["intro_gaps"]
+        assert [p["gap_years"] for p in gaps["points"]] == [2, 2]
+        assert gaps["spearman"] is None
+
     def test_manifest_without_series_is_validation_failure(self, run_cli, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", {"dataset": "empty"})
         code, _, err = run_cli("waves", manifest)
@@ -380,6 +418,48 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize(
+        "overrides, code, message",
+        [
+            ({"seed": -1}, 4, "seed must be >= 0"),
+            ({"seed": "x"}, 3, "seed must be an integer"),
+            ({"seed": 1.5}, 3, "seed must be an integer"),
+            ({"seed": True}, 3, "seed must be an integer"),
+            ({"seed": None}, 3, "seed must be an integer"),
+        ],
+    )
+    def test_bad_seed_rejected_whatever_the_noise(
+        self, run_cli, tmp_path, sigma, overrides, code, message
+    ):
+        params = self.params_file(tmp_path, noise_sigma=sigma, **overrides)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == code
+        assert message in err
+        assert not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sigma, code, message",
+        [
+            ("x", 3, "noise_sigma must be a number"),
+            ([0.1], 3, "noise_sigma must be a number"),
+            (-0.1, 4, "noise_sigma must be finite and >= 0"),
+            (math.inf, 4, "noise_sigma must be finite and >= 0"),
+            (math.nan, 4, "noise_sigma must be finite and >= 0"),
+        ],
+    )
+    def test_bad_noise_sigma_rejected(self, run_cli, tmp_path, sigma, code, message):
+        params = self.params_file(tmp_path, noise_sigma=sigma)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == code
+        assert message in err
+
     def test_invalid_params_rejected(self, run_cli, tmp_path):
         params = self.params_file(tmp_path, killer={"K": -5.0, "a": 0.0, "b": 1.0})
         code, _, err = run_cli(
@@ -388,3 +468,52 @@ class TestSimulate:
         )
         assert code == 4
         assert "carrying capacity" in err
+
+
+class TestImportBoundary:
+    """simulate without noise and waves load neither numpy nor scipy;
+    fits load scipy.special, never scipy.stats."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        import techsub
+        loaded = lambda: {
+            "estimation": "techsub.estimation" in sys.modules,
+            "numpy": "numpy" in sys.modules,
+            "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+            "scipy.special": "scipy.special" in sys.modules,
+            "scipy.stats": "scipy.stats" in sys.modules,
+        }
+        after_import = loaded()
+        from techsub.cli import main
+        params, manifest, k, v = sys.argv[1:]
+        assert main(["simulate", params, "--killer-out", k, "--victim-out", v]) == 0
+        assert main(["waves", manifest, "--no-timestamp"]) == 0
+        after_simulate_and_waves = loaded()
+        assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
+        print(json.dumps([after_import, after_simulate_and_waves, loaded()]))
+        """
+    )
+
+    def test_modules_loaded_per_command(self, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 30},
+            "noise_sigma": 0.0,
+        }))
+        script = tmp_path / "probe.py"
+        script.write_text(self.SCRIPT)
+        done = run_python(
+            script, params, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
+            tmp_path / "v.csv",
+        )
+        assert done.returncode == 0, done.stderr
+        after_import, after_light, after_fit = json.loads(done.stdout.splitlines()[-1])
+        assert after_import["estimation"]
+        assert not after_import["numpy"] and not after_import["scipy"]
+        assert not after_light["numpy"] and not after_light["scipy"]
+        assert after_fit["numpy"] and after_fit["scipy.special"]
+        assert not after_fit["scipy.stats"]

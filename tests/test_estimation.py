@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import make_series
 from techsub.errors import EstimationError, ValidationError
@@ -11,6 +12,7 @@ from techsub.estimation import (
     AbsoluteTolerance,
     Regime,
     RegressionFit,
+    TTestTolerance,
     classify_regime,
     fisher_pry_fit,
     killer_fit,
@@ -114,6 +116,53 @@ class TestOlsFit:
             assert 0.0 <= fit.p_value_beta <= 1.0
             assert fit.r2_adj <= fit.r2 <= 1.0
 
+    @pytest.mark.parametrize(
+        "xs, ys, p_expected",
+        [
+            ([0, 1, 2], [1, 3, 5], 0.0),  # perfect fit, dof 1
+            ([0, 1, 2, 3, 4], [1, 3, 5, 7, 9], 0.0),  # perfect fit
+            ([1, 2, 3, 4], [1, 2, 2, 1], 1.0),  # zero slope
+            ([1, 2, 3], [2, 3, 5], None),  # dof 1
+        ],
+    )
+    def test_p_values_at_the_edges_match_scipy_stats(self, xs, ys, p_expected):
+        fit = ols_fit(xs, ys)
+        if p_expected is not None:
+            assert fit.p_value_beta == p_expected
+            assert fit.p_value_f == p_expected
+        if fit.se_beta > 0.0:
+            t = fit.beta / fit.se_beta
+        else:
+            t = math.inf if fit.beta else 0.0
+        assert fit.p_value_beta == float(2.0 * stats.t.sf(abs(t), fit.n - 2))
+        assert fit.p_value_f == float(stats.f.sf(fit.f_stat, 1, fit.n - 2))
+
+    def test_p_values_match_scipy_stats_bitwise(self):
+        # p values come from scipy.special; scipy.stats is the oracle
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(3, 60))
+            xs = rng.uniform(-5, 5, n)
+            noise = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 1)
+            fit = ols_fit(xs, rng.uniform(-2, 2) * xs + noise)
+            t = fit.beta / fit.se_beta
+            assert fit.p_value_beta == float(2.0 * stats.t.sf(abs(t), n - 2))
+            assert fit.p_value_f == float(stats.f.sf(fit.f_stat, 1, n - 2))
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=30),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.integers(0, 29),
+        st.booleans(),
+    )
+    def test_non_finite_input_rejected(self, values, bad, index, in_xs):
+        clean = list(range(len(values)))
+        dirty = list(values)
+        dirty[index % len(dirty)] = bad
+        xs, ys = (dirty, values) if in_xs else (clean, dirty)
+        with pytest.raises(EstimationError, match="finite"):
+            ols_fit(xs, ys)
+
     @given(
         st.lists(st.floats(-10, 10), min_size=3, max_size=30),
         st.floats(-100, 100),
@@ -158,6 +207,13 @@ class TestClassifyRegime:
             fit = make_fit(1.0, se, 20)
             assert classify_regime(fit) is Regime.PROPORTIONAL_GROWTH
             assert classify_regime(fit, AbsoluteTolerance(0.0)) is Regime.PROPORTIONAL_GROWTH
+
+    def test_t_test_band_matches_scipy_stats_bitwise(self):
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
+            for n in (3, 4, 5, 10, 31, 56, 200):
+                fit = make_fit(1.3, 0.17, n)
+                t_crit = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
+                assert TTestTolerance(alpha).tolerance(fit) == t_crit * 0.17
 
     def test_t_test_policy_depends_on_precision(self):
         # same point estimate, different standard errors

@@ -1,3 +1,7 @@
+import math
+import random
+import warnings
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -206,6 +210,42 @@ class TestIntroGapDiagnostic:
         diag = intro_gap_diagnostic([(a, b)])
         assert diag.points == ((0, 5),)
         assert diag.spearman is None  # one point, no rank correlation
+
+    @staticmethod
+    def chain(points):
+        """(established, killer) event pairs with the given (gap, disruption)."""
+        return [
+            (WaveEvents(f"old{i}", 0, 10, 10 + dp), WaveEvents(f"new{i}", gap, gap, None))
+            for i, (gap, dp) in enumerate(points)
+        ]
+
+    def test_spearman_with_ties_hand_computed(self):
+        # gap ranks 1, 2.5, 2.5, 4 and disruption ranks 3, 1, 2, 4, centred
+        # on 2.5: S_gg = 4.5, S_dd = 5, S_gd = 1.5, rho = 1.5/sqrt(22.5)
+        diag = intro_gap_diagnostic(self.chain([(1, 3), (2, 1), (2, 2), (4, 5)]))
+        assert diag.spearman == pytest.approx(1.0 / math.sqrt(10.0), rel=1e-15)
+
+    def test_spearman_matches_scipy_stats_bitwise(self):
+        from scipy import stats
+
+        rng = random.Random(99)
+        for _ in range(500):
+            n = rng.randint(2, 40)
+            gap_top, dp_top = rng.choice((1, 3, 8, 60)), rng.choice((1, 3, 8, 60))
+            points = [(rng.randint(0, gap_top), rng.randint(0, dp_top)) for _ in range(n)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", stats.ConstantInputWarning)
+                rho = stats.spearmanr(*zip(*points)).statistic
+            expected = float(rho) if math.isfinite(rho) else None
+            assert intro_gap_diagnostic(self.chain(points)).spearman == expected
+
+    @pytest.mark.parametrize(
+        "points", [[(3, 1), (3, 4), (3, 9)], [(1, 6), (2, 6)], [(0, 0), (0, 0)]]
+    )
+    def test_constant_side_has_no_correlation_and_no_warning(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert intro_gap_diagnostic(self.chain(points)).spearman is None
 
     def test_in_progress_established_rejected(self):
         a = WaveEvents("a", 2000, 2005, None)
