@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import EstimationError, ParseError, ValidationError
@@ -24,13 +25,7 @@ from .estimation import (
     killer_fit,
 )
 from .growth import LogisticParams, logistic_value
-from .ingest import (
-    CSV_HEADER,
-    TimeSeries,
-    align_pair,
-    load_manifest,
-    read_series,
-)
+from .ingest import TimeSeries, load_manifest, read_series, serialize_series
 from .reporting import (
     VERSION,
     build_report,
@@ -89,16 +84,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _positive_log_pairs(pair):
-    years, lv, lk = [], [], []
-    for year, kv, vv in zip(pair.years, pair.killer_values, pair.victim_values):
-        if kv > 0.0 and vv > 0.0:
-            years.append(year)
-            lv.append(math.log(vv))
-            lk.append(math.log(kv))
-    return years, lv, lk
-
-
 def _cmd_fit_killer(args) -> int:
     killer = read_series(args.killer_csv)
     victim = read_series(args.victim_csv)
@@ -117,16 +102,13 @@ def _cmd_fit_killer(args) -> int:
         narrative=regime_narrative(fit),
         warnings=warnings,
         timestamp=not args.no_timestamp,
-        version=VERSION,
     )
     _emit(render_report(report), args.output)
 
     if args.plot:
-        pair = align_pair(killer, victim, args.period)
-        _, lv, lk = _positive_log_pairs(pair)
         svg = render_scatter(
-            lv,
-            lk,
+            fit.regression.xs,
+            fit.regression.ys,
             title=f"{killer.name} vs {victim.name} (log-log)",
             xlabel=f"ln {victim.name} level",
             ylabel=f"ln {killer.name} level",
@@ -152,16 +134,13 @@ def _cmd_fisher_pry(args) -> int:
             f"years; half-substitution at year {fit.t_half:.2f}."
         ),
         timestamp=not args.no_timestamp,
-        version=VERSION,
     )
     _emit(render_report(report), args.output)
 
     if args.plot:
-        years = [float(y) for y in shares.years]
-        logits = [math.log(f / (1.0 - f)) for f in shares.values]
         svg = render_scatter(
-            years,
-            logits,
+            fit.regression.xs,
+            fit.regression.ys,
             title=f"{shares.name}: share substitution",
             xlabel="year",
             ylabel="ln(f / (1 - f))",
@@ -174,25 +153,15 @@ def _cmd_fisher_pry(args) -> int:
 
 
 def _wave_entry(events, metrics) -> dict:
-    entry = {
+    return {
         "name": events.tech_name,
         "begin_year": events.begin_year,
         "peak_year": events.peak_year,
         "end_year": events.end_year,
         "in_progress": not events.complete,
         "flag": "" if events.complete else "*",
+        "metrics": None if metrics is None else asdict(metrics),
     }
-    if metrics is None:
-        entry["metrics"] = None
-    else:
-        entry["metrics"] = {
-            "upwave_years": metrics.upwave_years,
-            "downwave_years": metrics.downwave_years,
-            "cycle_years": metrics.cycle_years,
-            "upwave_fraction": metrics.upwave_fraction,
-            "downwave_fraction": metrics.downwave_fraction,
-        }
-    return entry
 
 
 def _cmd_waves(args) -> int:
@@ -256,19 +225,9 @@ def _cmd_waves(args) -> int:
         "summary": {
             "n_waves": summary.n_waves,
             "n_excluded": summary.n_excluded,
-            "upwave_years": {"mean": summary.mean_upwave, "sd": summary.sd_upwave},
-            "downwave_years": {
-                "mean": summary.mean_downwave,
-                "sd": summary.sd_downwave,
-            },
-            "cycle_years": {"mean": summary.mean_cycle, "sd": summary.sd_cycle},
-            "upwave_fraction": {
-                "mean": summary.mean_upwave_fraction,
-                "sd": summary.sd_upwave_fraction,
-            },
-            "downwave_fraction": {
-                "mean": summary.mean_downwave_fraction,
-                "sd": summary.sd_downwave_fraction,
+            **{
+                name: {"mean": mu, "sd": sd}
+                for name, (mu, sd) in summary.stats.items()
             },
         },
         "takeovers": takeovers,
@@ -290,10 +249,27 @@ def _cmd_waves(args) -> int:
         ),
         warnings=warnings,
         timestamp=not args.no_timestamp,
-        version=VERSION,
     )
     _emit(render_report(report), args.output)
     return EXIT_OK
+
+
+def _json_number(value, what: str, integer: bool = False):
+    """A JSON number as a float, or as an int when integer is set.
+
+    Anything else (strings, bools, null, a float where an integer is
+    needed) is a ParseError naming what.
+    """
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integer else "a number"
+        raise ParseError(f"{what} must be {expected}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float")
 
 
 def _load_sim_params(path: str) -> dict:
@@ -301,6 +277,8 @@ def _load_sim_params(path: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: parameter file root must be an object")
     for key in ("victim", "killer", "years"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
@@ -310,12 +288,13 @@ def _load_sim_params(path: str) -> dict:
 def _sim_series(
     spec: dict, role: str, years, sigma: float, rng
 ) -> tuple[TimeSeries, LogisticParams]:
+    if not isinstance(spec, dict):
+        raise ParseError(f"{role} parameters must be an object, got {spec!r}")
     try:
-        params = LogisticParams(
-            K=float(spec["K"]), a=float(spec["a"]), b=float(spec["b"])
-        )
+        K, a, b = (_json_number(spec[k], f"{role} {k}") for k in "Kab")
     except KeyError as exc:
         raise ParseError(f"{role} parameters missing key {exc}")
+    params = LogisticParams(K=K, a=a, b=b)
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
         noise = rng.standard_normal(len(values))
@@ -329,14 +308,12 @@ def _sim_series(
 
 
 def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:
-    lines = [
+    comment = (
         f"# simulated logistic series {series.name!r}: "
         f"K={params.K!r}, a={params.a!r}, b={params.b!r}, "
-        f"noise_sigma={sigma!r}, seed={seed}",
-        CSV_HEADER,
-    ]
-    lines.extend(f"{year},{value!r}" for year, value in series.points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        f"noise_sigma={sigma!r}, seed={seed}\n"
+    )
+    Path(path).write_text(comment + serialize_series(series), encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:
@@ -344,19 +321,17 @@ def _cmd_simulate(args) -> int:
     yr = doc["years"]
     if not isinstance(yr, dict) or "first" not in yr or "last" not in yr:
         raise ParseError(f"{args.params}: 'years' must hold 'first' and 'last'")
-    first, last = int(yr["first"]), int(yr["last"])
+    first, last = (
+        _json_number(yr[k], f"{args.params}: years {k}", integer=True)
+        for k in ("first", "last")
+    )
     if first > last:
         raise ValidationError(f"empty year range {first}:{last}")
     years = list(range(first, last + 1))
-    sigma = doc.get("noise_sigma", 0.0)
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-        raise ParseError(f"{args.params}: noise_sigma must be a number, got {sigma!r}")
-    sigma = float(sigma)
+    sigma = _json_number(doc.get("noise_sigma", 0.0), f"{args.params}: noise_sigma")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParseError(f"{args.params}: seed must be an integer, got {seed!r}")
+    seed = _json_number(doc.get("seed", 0), f"{args.params}: seed", integer=True)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = None

@@ -42,6 +42,8 @@ class RegressionFit:
     p_value_f: float
     p_value_beta: float
     n: int
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
 
 
 class Regime(enum.Enum):
@@ -160,6 +162,8 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         p_value_f=p_value_f,
         p_value_beta=p_value_beta,
         n=n,
+        xs=tuple(x.tolist()),
+        ys=tuple(y.tolist()),
     )
 
 
@@ -223,6 +227,10 @@ def killer_fit(
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# logistic_fit's search interval for K and the size of its first scan
+K_EPSILON = 1e-14
+K_MAX_FACTOR = 50.0
+K_GRID_SIZE = 384
 
 
 def _logit_ols(np, K: float, t, v) -> tuple[float, float, float]:
@@ -244,21 +252,16 @@ def _logit_ols(np, K: float, t, v) -> tuple[float, float, float]:
     return a, b, float(resid @ resid)
 
 
-def logistic_fit(
-    series: TimeSeries,
-    k_epsilon: float = 1e-14,
-    k_max_factor: float = 50.0,
-    grid_size: int = 384,
-) -> LogisticParams:
+def logistic_fit(series: TimeSeries) -> LogisticParams:
     """Fit a logistic curve to a series by least squares on levels.
 
     Outer one-dimensional search over the capacity K on
-    (max(series)*(1+k_epsilon), max(series)*k_max_factor]: a coarse scan
-    followed by golden-section refinement, both over ln(K - max) so the
-    sharp minimum near a saturated series stays resolvable. For each
-    candidate K the remaining parameters come from closed-form OLS on the
-    logit-linearized data ln((K-v)/v) = a - b*t; the objective is the sum
-    of squared level residuals.
+    (max(series)*(1+K_EPSILON), max(series)*K_MAX_FACTOR]: a scan of
+    K_GRID_SIZE points followed by golden-section refinement, both over
+    ln(K - max) so the sharp minimum near a saturated series stays
+    resolvable. For each candidate K the remaining parameters come from
+    closed-form OLS on the logit-linearized data ln((K-v)/v) = a - b*t;
+    the objective is the sum of squared level residuals.
 
     Non-positive observations are dropped; at least 4 must remain and the
     series must rise somewhere (constant or decreasing-only data has no
@@ -280,17 +283,17 @@ def logistic_fit(
 
     v_max = float(v.max())
     # gap = K - max(series); searched in log space
-    u_lo = math.log(k_epsilon * v_max)
-    u_hi = math.log((k_max_factor - 1.0) * v_max)
+    u_lo = math.log(K_EPSILON * v_max)
+    u_hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
 
     def sse_at(u: float) -> float:
         return _logit_ols(np, v_max + math.exp(u), t, v)[2]
 
-    grid = np.linspace(u_lo, u_hi, grid_size)
+    grid = np.linspace(u_lo, u_hi, K_GRID_SIZE)
     sses = [sse_at(u) for u in grid]
     best = int(np.argmin(sses))
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_size - 1)]
+    hi = grid[min(best + 1, K_GRID_SIZE - 1)]
 
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -310,7 +313,7 @@ def logistic_fit(
     a, b, _ = _logit_ols(np, K, t, v)
     if b == 0.0:
         raise EstimationError("degenerate fit: zero growth rate")
-    return LogisticParams(K=K, a=a, b=b)
+    return LogisticParams(K=K, a=float(a), b=b)
 
 
 def logistic_sse(params: LogisticParams, series: TimeSeries) -> float:
@@ -330,8 +333,6 @@ def fisher_pry_fit(shares: TimeSeries) -> FisherPryFit:
             raise ValidationError(
                 f"share at year {year} must lie strictly in (0, 1), got {f}"
             )
-    if len(shares) < 3:
-        raise EstimationError(f"need at least 3 observations, got {len(shares)}")
     years = [float(y) for y in shares.years]
     logits = [math.log(f / (1.0 - f)) for f in shares.values]
     regression = ols_fit(years, logits)

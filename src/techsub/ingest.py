@@ -2,8 +2,9 @@
 
 Series files are two-column CSV with the exact header ``year,value``.
 Blank lines and lines starting with ``#`` are ignored, years are
-integers, values decimal reals (no thousands separators). Year gaps are
-permitted; duplicate or decreasing years are not.
+integers, values decimal reals, both in ASCII digits with no thousands
+or underscore separators. Year gaps are permitted; duplicate or
+decreasing years are not.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ class TimeSeries:
         return TimeSeries(self.name, self.unit, pts)
 
 
+def _ascii_number(text: str, convert):
+    """convert(text), refusing the underscores and non-ASCII digits that
+    int() and float() accept but the CSV format does not."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return convert(text)
+
+
 def parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
     """Parse CSV text into a validated TimeSeries.
 
@@ -85,11 +94,11 @@ def parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
                 f"expected 2 comma-separated fields, got {len(cells)}", line=lineno
             )
         try:
-            year = int(cells[0].strip())
+            year = _ascii_number(cells[0].strip(), int)
         except ValueError:
             raise ParseError(f"year is not an integer: {cells[0]!r}", line=lineno)
         try:
-            value = float(cells[1].strip())
+            value = _ascii_number(cells[1].strip(), float)
         except ValueError:
             raise ParseError(f"value is not a number: {cells[1]!r}", line=lineno)
         points.append((year, value))

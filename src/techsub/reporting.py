@@ -100,13 +100,12 @@ def build_report(
     narrative: str = "",
     warnings: list[str] | None = None,
     timestamp: bool = True,
-    version: str = VERSION,
 ) -> dict:
     """Assemble the report document. Field order is fixed so identical
     inputs serialize byte-identically (timestamp optional for that)."""
     report = {
         "tool": TOOL_NAME,
-        "version": version,
+        "version": VERSION,
         "command": command,
         "dataset": dataset,
         "log_base": "e",

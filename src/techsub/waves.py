@@ -10,12 +10,12 @@ still active). The downwave Z - M is the disruption period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from statistics import mean, stdev
 
 from .errors import ValidationError
-from .ingest import TimeSeries
+from .ingest import TimeSeries, align_pair
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,15 @@ class WaveMetrics:
 class WaveSummary:
     """Mean and sample standard deviation of each metric across waves.
 
-    SDs use the n-1 denominator and are absent for fewer than two waves;
-    fraction statistics skip zero-length cycles.
+    stats maps each WaveMetrics field name, in field order, to its
+    (mean, sd) pair. SDs use the n-1 denominator and are None for fewer
+    than two waves, means for none; fraction statistics skip zero-length
+    cycles.
     """
 
     n_waves: int
     n_excluded: int
-    mean_upwave: float | None
-    sd_upwave: float | None
-    mean_downwave: float | None
-    sd_downwave: float | None
-    mean_cycle: float | None
-    sd_cycle: float | None
-    mean_upwave_fraction: float | None
-    sd_upwave_fraction: float | None
-    mean_downwave_fraction: float | None
-    sd_downwave_fraction: float | None
+    stats: dict[str, tuple[float | None, float | None]]
 
 
 def extract_wave_events(
@@ -129,7 +122,8 @@ def wave_metrics(events: WaveEvents) -> WaveMetrics:
     )
 
 
-def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
+def _mean_sd(values: list[float | None]) -> tuple[float | None, float | None]:
+    values = [float(v) for v in values if v is not None]
     if not values:
         return None, None
     return mean(values), (stdev(values) if len(values) >= 2 else None)
@@ -137,30 +131,11 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
 
 def summarize_waves(metrics: list[WaveMetrics], n_excluded: int = 0) -> WaveSummary:
     """Aggregate completed waves; n_excluded records incomplete ones left out."""
-    ups = [float(m.upwave_years) for m in metrics]
-    downs = [float(m.downwave_years) for m in metrics]
-    cycles = [float(m.cycle_years) for m in metrics]
-    up_fracs = [m.upwave_fraction for m in metrics if m.upwave_fraction is not None]
-    down_fracs = [m.downwave_fraction for m in metrics if m.downwave_fraction is not None]
-    mu_up, sd_up = _mean_sd(ups)
-    mu_down, sd_down = _mean_sd(downs)
-    mu_cycle, sd_cycle = _mean_sd(cycles)
-    mu_uf, sd_uf = _mean_sd(up_fracs)
-    mu_df, sd_df = _mean_sd(down_fracs)
-    return WaveSummary(
-        n_waves=len(metrics),
-        n_excluded=n_excluded,
-        mean_upwave=mu_up,
-        sd_upwave=sd_up,
-        mean_downwave=mu_down,
-        sd_downwave=sd_down,
-        mean_cycle=mu_cycle,
-        sd_cycle=sd_cycle,
-        mean_upwave_fraction=mu_uf,
-        sd_upwave_fraction=sd_uf,
-        mean_downwave_fraction=mu_df,
-        sd_downwave_fraction=sd_df,
-    )
+    stats = {
+        f.name: _mean_sd([getattr(m, f.name) for m in metrics])
+        for f in fields(WaveMetrics)
+    }
+    return WaveSummary(n_waves=len(metrics), n_excluded=n_excluded, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -179,14 +154,10 @@ class Takeover:
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
     """Scan common years for the first strict crossing; None when it never happens."""
-    old_by_year = dict(established.points)
-    common = [(y, v) for y, v in new_tech.points if y in old_by_year]
-    if not common:
-        raise ValidationError(
-            f"series {new_tech.name!r} and {established.name!r} share no years"
-        )
-    for year, new_value in common:
-        old_value = old_by_year[year]
+    pair = align_pair(new_tech, established)
+    for year, new_value, old_value in zip(
+        pair.years, pair.killer_values, pair.victim_values
+    ):
         if new_value > old_value:
             return Takeover(year=year, new_value=new_value, old_value=old_value)
     return None

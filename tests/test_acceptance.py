@@ -278,7 +278,7 @@ def test_criterion_7_regime_labels():
         fit = RegressionFit(
             alpha=0.0, beta=beta, se_alpha=0.0, se_beta=se, r2=0.9, r2_adj=0.9,
             se_estimate=0.3, f_stat=(beta / se) ** 2, p_value_f=0.001,
-            p_value_beta=0.001, n=n,
+            p_value_beta=0.001, n=n, xs=(), ys=(),
         )
         got.append(classify_regime(fit, AbsoluteTolerance(0.05)))
     ok = got == [c[3] for c in cases]

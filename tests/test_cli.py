@@ -442,6 +442,44 @@ class TestSimulate:
         assert not (tmp_path / "k.csv").exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"victim": {"K": "x", "a": 5.0, "b": 0.5}}, "victim K must be a number"),
+            ({"victim": {"K": "100", "a": 5.0, "b": 0.5}}, "victim K must be a number"),
+            ({"killer": {"K": 200.0, "a": None, "b": 1.0}}, "killer a must be a number"),
+            ({"killer": {"K": 200.0, "a": 8.0, "b": True}}, "killer b must be a number"),
+            ({"killer": {"K": 10**400, "a": 8.0, "b": 1.0}}, "killer K is too large"),
+            ({"years": {"first": "x", "last": 30}}, "years first must be an integer"),
+            ({"years": {"first": 0, "last": [30]}}, "years last must be an integer"),
+            ({"years": {"first": 1990.7, "last": 2000}}, "years first must be an integer"),
+            ({"victim": "logistic"}, "victim parameters must be an object"),
+            ({"killer": [200.0, 8.0, 1.0]}, "killer parameters must be an object"),
+        ],
+    )
+    def test_non_numeric_params_are_parse_failures(
+        self, run_cli, tmp_path, overrides, message
+    ):
+        params = self.params_file(tmp_path, **overrides)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == 3
+        assert err.startswith("techsub: parse error: ") and message in err
+        assert not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize("root", ["5", "\"victim killer years\"", "null"])
+    def test_non_object_root_is_parse_failure(self, run_cli, tmp_path, root):
+        params = tmp_path / "params.json"
+        params.write_text(root)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == 3
+        assert "root must be an object" in err
+
+    @pytest.mark.parametrize(
         "sigma, code, message",
         [
             ("x", 3, "noise_sigma must be a number"),

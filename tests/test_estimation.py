@@ -57,6 +57,8 @@ def make_fit(beta, se_beta, n):
         p_value_f=0.001,
         p_value_beta=0.001,
         n=n,
+        xs=(),
+        ys=(),
     )
 
 
@@ -368,6 +370,17 @@ class TestLogisticFit:
         assert fit.K == pytest.approx(100.0, rel=0.05)
         # frozen regression pin for the fixed seed
         assert fit.K == pytest.approx(100.94817043989518, rel=1e-9)
+
+    def test_parameters_are_python_floats(self):
+        truth = LogisticParams(K=100.0, a=5.0, b=0.5)
+        series = make_series([(t, logistic_value(truth, t)) for t in range(21)], "s")
+        fit = logistic_fit(series)
+        assert [type(fit.K), type(fit.a), type(fit.b)] == [float, float, float]
+
+    def test_search_settings_are_not_parameters(self):
+        import inspect
+
+        assert list(inspect.signature(logistic_fit).parameters) == ["series"]
 
 
 class TestFisherPry:

@@ -49,6 +49,20 @@ class TestParseSeries:
         with pytest.raises(ParseError, match="line 2"):
             parse_series("year,value\n1991,4,300")
 
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("1_984,1000", "year"),
+            ("1984,1_000", "value"),
+            ("\u0661\u0669\u0668\u0664,1000", "year"),  # Arabic-Indic 1984
+            ("1984,\u0661\u0660\u0660\u0660", "value"),
+            ("1984,\uff11.\uff15", "value"),  # fullwidth 1.5
+        ],
+    )
+    def test_underscores_and_non_ascii_digits_rejected(self, row, field):
+        with pytest.raises(ParseError, match=f"line 3: {field}"):
+            parse_series(f"year,value\n1983,1\n{row}")
+
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
             parse_series("1920,246\n1921,343")
@@ -78,6 +92,26 @@ series_st = st.builds(
         max_size=30,
     ),
 )
+
+
+# valid numbers (which int() and float() would accept with an underscore
+# between digits) and arbitrary number-like text
+cell_st = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(alphabet="0123456789.+-e_", max_size=10),
+)
+
+
+class TestUnderscoreProperty:
+    @given(cell_st, cell_st, st.booleans(), st.integers(0, 24))
+    def test_underscore_in_either_cell_is_rejected(self, year, value, in_year, at):
+        if in_year:
+            year = year[:at] + "_" + year[at:]
+        else:
+            value = value[:at] + "_" + value[at:]
+        with pytest.raises(ParseError, match="line 2"):
+            parse_series(f"year,value\n{year},{value}")
 
 
 class TestSerializeRoundTrip:

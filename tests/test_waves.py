@@ -131,8 +131,8 @@ class TestSummarizeWaves:
             wave_metrics(WaveEvents("c", 0, 0, 17)),
         ]
         summary = summarize_waves(metrics)
-        assert summary.mean_downwave == pytest.approx(12.0)
-        assert summary.sd_downwave == pytest.approx(7.0)  # sample (n-1) SD
+        assert summary.stats["downwave_years"][0] == pytest.approx(12.0)
+        assert summary.stats["downwave_years"][1] == pytest.approx(7.0)  # sample (n-1) SD
 
     def test_upwave_statistics(self):
         metrics = [
@@ -141,20 +141,20 @@ class TestSummarizeWaves:
             wave_metrics(WaveEvents("c", 0, 18, 19)),
         ]
         summary = summarize_waves(metrics)
-        assert summary.mean_upwave == pytest.approx(19.0)
-        assert summary.sd_upwave == pytest.approx(6.56, abs=0.01)
+        assert summary.stats["upwave_years"][0] == pytest.approx(19.0)
+        assert summary.stats["upwave_years"][1] == pytest.approx(6.56, abs=0.01)
 
     def test_single_wave_has_no_sd(self):
         summary = summarize_waves([wave_metrics(WaveEvents("a", 0, 4, 10))])
-        assert summary.mean_upwave == pytest.approx(4.0)
-        assert summary.sd_upwave is None
+        assert summary.stats["upwave_years"][0] == pytest.approx(4.0)
+        assert summary.stats["upwave_years"][1] is None
         assert summary.n_waves == 1
 
     def test_empty_input(self):
         summary = summarize_waves([], n_excluded=2)
         assert summary.n_waves == 0
         assert summary.n_excluded == 2
-        assert summary.mean_upwave is None
+        assert summary.stats["upwave_years"][0] is None
 
 
 class TestTakeoverYear:
