@@ -11,7 +11,6 @@ failure, 5 estimation failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -25,7 +24,9 @@ from .estimation import (
     killer_fit,
 )
 from .growth import LogisticParams, logistic_value
-from .ingest import TimeSeries, load_manifest, read_series, serialize_series
+from .ingest import (
+    TimeSeries, load_manifest, read_json_object, read_series, serialize_series,
+)
 from .reporting import (
     VERSION,
     build_report,
@@ -273,12 +274,7 @@ def _json_number(value, what: str, integer: bool = False):
 
 
 def _load_sim_params(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: parameter file root must be an object")
+    doc = read_json_object(path, "parameter file")
     for key in ("victim", "killer", "years"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")

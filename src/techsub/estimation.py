@@ -226,46 +226,47 @@ def killer_fit(
     )
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# logistic_fit's search interval for K and the size of its first scan
+# logistic_fit's search interval for K and the size of each scan
 K_EPSILON = 1e-14
 K_MAX_FACTOR = 50.0
 K_GRID_SIZE = 384
 
 
-def _logit_ols(np, K: float, t, v) -> tuple[float, float, float]:
-    """Closed-form (a, b, level SSE) for a fixed capacity candidate K.
+def _logit_ols(np, gaps, t, v):
+    """Closed-form (a, b, level SSE) for every capacity K = max(v) + gap.
 
-    np is the numpy module, passed in so that the search over K does not
-    run an import statement per candidate.
+    gaps is an array of candidates; each result is an array with one entry
+    per candidate, all computed in one (candidates x n) pass. np is the
+    numpy module, passed in so that the search does not import per scan.
     """
+    K = (v.max() + gaps)[:, None]
     z = np.log((K - v) / v)
     t_mean = t.mean()
-    z_mean = z.mean()
+    z_mean = z.mean(axis=1)
     dt = t - t_mean
-    slope = float(dt @ (z - z_mean)) / float(dt @ dt)
-    b = -slope
+    b = -((z - z_mean[:, None]) @ dt) / float(dt @ dt)
     a = z_mean + b * t_mean
     with np.errstate(over="ignore"):
-        pred = K / (1.0 + np.exp(np.clip(a - b * t, -700.0, 700.0)))
+        pred = K / (1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0)))
     resid = v - pred
-    return a, b, float(resid @ resid)
+    return a, b, np.einsum("ij,ij->i", resid, resid)
 
 
 def logistic_fit(series: TimeSeries) -> LogisticParams:
     """Fit a logistic curve to a series by least squares on levels.
 
-    Outer one-dimensional search over the capacity K on
-    (max(series)*(1+K_EPSILON), max(series)*K_MAX_FACTOR]: a scan of
-    K_GRID_SIZE points followed by golden-section refinement, both over
+    One-dimensional search over the capacity K on
+    (max(series)*(1+K_EPSILON), max(series)*K_MAX_FACTOR], over
     ln(K - max) so the sharp minimum near a saturated series stays
-    resolvable. For each candidate K the remaining parameters come from
-    closed-form OLS on the logit-linearized data ln((K-v)/v) = a - b*t;
-    the objective is the sum of squared level residuals.
+    resolvable: scan K_GRID_SIZE points, narrow to the best point's two
+    neighbours and scan again, until they lie within 1e-12. For each
+    candidate K the remaining parameters come from closed-form OLS on the
+    logit-linearized data ln((K-v)/v) = a - b*t; the objective is the sum
+    of squared level residuals. Rising series give b > 0, declining ones
+    b < 0.
 
     Non-positive observations are dropped; at least 4 must remain and the
-    series must rise somewhere (constant or decreasing-only data has no
-    S-shaped growth to fit).
+    series must not be constant (it has no S-shaped curve to fit).
     """
     import numpy as np
 
@@ -278,42 +279,25 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     v = np.array([x for _, x in pts], dtype=float)
     if np.all(v == v[0]):
         raise EstimationError("series is constant, no S-shaped growth to fit")
-    if np.all(np.diff(v) <= 0.0):
-        raise EstimationError("series never increases, no S-shaped growth to fit")
 
     v_max = float(v.max())
     # gap = K - max(series); searched in log space
-    u_lo = math.log(K_EPSILON * v_max)
-    u_hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
+    lo = math.log(K_EPSILON * v_max)
+    hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
+    while True:
+        u = np.linspace(lo, hi, K_GRID_SIZE)
+        gaps = np.exp(u)
+        a, b, sse = _logit_ols(np, gaps, t, v)
+        best = int(np.argmin(sse))
+        lo = u[max(best - 1, 0)]
+        hi = u[min(best + 1, K_GRID_SIZE - 1)]
+        if not hi - lo > 1e-12:  # also stops when an overflowed interval gave NaN
+            break
 
-    def sse_at(u: float) -> float:
-        return _logit_ols(np, v_max + math.exp(u), t, v)[2]
-
-    grid = np.linspace(u_lo, u_hi, K_GRID_SIZE)
-    sses = [sse_at(u) for u in grid]
-    best = int(np.argmin(sses))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, K_GRID_SIZE - 1)]
-
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    f_c = sse_at(c)
-    f_d = sse_at(d)
-    while hi - lo > 1e-12:
-        if f_c < f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - _INV_PHI * (hi - lo)
-            f_c = sse_at(c)
-        else:
-            lo, c, f_c = c, d, f_d
-            d = lo + _INV_PHI * (hi - lo)
-            f_d = sse_at(d)
-
-    K = v_max + math.exp((lo + hi) / 2.0)
-    a, b, _ = _logit_ols(np, K, t, v)
+    a, b = float(a[best]), float(b[best])
     if b == 0.0:
         raise EstimationError("degenerate fit: zero growth rate")
-    return LogisticParams(K=K, a=float(a), b=b)
+    return LogisticParams(K=v_max + float(gaps[best]), a=a, b=b)
 
 
 def logistic_sse(params: LogisticParams, series: TimeSeries) -> float:

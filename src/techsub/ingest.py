@@ -227,15 +227,24 @@ def _series_ref(obj, context: str) -> SeriesRef:
     )
 
 
+def read_json_object(path: str | Path, root: str) -> dict:
+    """Parse a UTF-8 JSON file whose root must be an object (root names the
+    file in that error). Whatever the decoder or json.loads refuses, any
+    ValueError such as a bad byte or an over-long integer, is a ParseError."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        line = getattr(exc, "lineno", None)
+        raise ParseError(f"{path}: invalid JSON ({exc})", line=line)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {root} root must be an object")
+    return doc
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest (schema in the README)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})", line=exc.lineno)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: manifest root must be an object")
+    doc = read_json_object(path, "manifest")
 
     period = None
     if "period" in doc:
@@ -250,12 +259,15 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ValidationError(f"{path}: period first {p['first']} > last {p['last']}")
         period = (p["first"], p["last"])
 
+    series = doc.get("series", [])
+    if not isinstance(series, list):
+        raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
     return DatasetManifest(
         dataset=str(doc.get("dataset", path.stem)),
         description=str(doc.get("description", "")),
         killer=_series_ref(doc["killer"], "killer") if "killer" in doc else None,
         victim=_series_ref(doc["victim"], "victim") if "victim" in doc else None,
-        series=tuple(_series_ref(s, "series") for s in doc.get("series", [])),
+        series=tuple(_series_ref(s, "series") for s in series),
         period=period,
         adjustment=doc.get("adjustment"),
         base_dir=path.parent,

@@ -336,6 +336,25 @@ class TestWaves:
         assert [p["gap_years"] for p in gaps["points"]] == [2, 2]
         assert gaps["spearman"] is None
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"dataset": ' + b"7" * 5000 + b"}", "invalid JSON"),
+            (b'{"dataset": "\xff"}', "invalid JSON"),
+            (b'{"series": 5}', "'series' must be a list"),
+            (b'{"series": null}', "'series' must be a list"),
+        ],
+    )
+    def test_unreadable_manifest_is_parse_failure(
+        self, run_cli, tmp_path, content, message
+    ):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(content)
+        code, out, err = run_cli("waves", manifest)
+        assert code == 3
+        assert err.startswith("techsub: parse error: ") and message in err
+        assert out == ""
+
     def test_manifest_without_series_is_validation_failure(self, run_cli, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", {"dataset": "empty"})
         code, _, err = run_cli("waves", manifest)
@@ -478,6 +497,24 @@ class TestSimulate:
         )
         assert got == 3
         assert "root must be an object" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"victim": {}, "killer": {}, "years": {}, "seed": ' + b"7" * 5000 + b"}",
+            b'{"victim": {"name": "\xff"}, "killer": {}, "years": {}}',
+        ],
+    )
+    def test_unreadable_params_are_parse_failures(self, run_cli, tmp_path, content):
+        params = tmp_path / "params.json"
+        params.write_bytes(content)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == 3
+        assert err.startswith("techsub: parse error: ") and "invalid JSON" in err
+        assert not (tmp_path / "k.csv").exists()
 
     @pytest.mark.parametrize(
         "sigma, code, message",

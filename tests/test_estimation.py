@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_series
-from techsub.errors import EstimationError, ValidationError
+from techsub.errors import EstimationError, TechsubError, ValidationError
 from techsub.estimation import (
+    K_EPSILON,
+    K_MAX_FACTOR,
     AbsoluteTolerance,
     Regime,
     RegressionFit,
@@ -328,9 +330,33 @@ class TestLogisticFit:
         with pytest.raises(EstimationError, match="constant"):
             logistic_fit(series)
 
-    def test_decreasing_series_rejected(self):
-        series = make_series([(t, 10.0 - t) for t in range(5)], "down")
-        with pytest.raises(EstimationError, match="never increases"):
+    @pytest.mark.parametrize(
+        "K,a,b,t0,t1",
+        [
+            (100.0, 5.0, 0.5, 0, 20),
+            (1000.0, 4.0, 0.25, 0, 40),
+            (3.5, 8.0, 0.9, 0, 25),
+            (250.0, -2.0, 0.3, 0, 30),
+            (42.0, 6.0, 0.45, 0, 29),
+            (7.25, 3.1, 0.18, 0, 60),
+            (1e6, 12.0, 1.5, 0, 22),
+        ],
+    )
+    def test_recovers_declining_samples(self, K, a, b, t0, t1):
+        # criterion 5's curves mirrored in time: same a, growth rate -b
+        truth = LogisticParams(K=K, a=a, b=-b)
+        series = make_series(
+            [(t, logistic_value(truth, t)) for t in range(-t1, -t0 + 1)], "down"
+        )
+        fit = logistic_fit(series)
+        assert fit.K == pytest.approx(K, rel=0.005)
+        assert fit.a == pytest.approx(a, rel=0.005)
+        assert fit.b == pytest.approx(-b, rel=0.005)
+
+    def test_overflowing_search_interval_stops(self):
+        # 49 * max(series) overflows to infinity; the search must end
+        series = make_series([(t, 1e307 * (1 + t)) for t in range(6)], "huge")
+        with np.errstate(invalid="ignore"), pytest.raises(TechsubError):
             logistic_fit(series)
 
     def test_too_few_positive_observations(self):
@@ -370,6 +396,28 @@ class TestLogisticFit:
         assert fit.K == pytest.approx(100.0, rel=0.05)
         # frozen regression pin for the fixed seed
         assert fit.K == pytest.approx(100.94817043989518, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_noisy_fit_is_no_worse_than_a_dense_grid(self, seed):
+        # oracle: the best of 4096 log-spaced gaps K - max over the same
+        # interval, with a and b from np.polyfit on the logits
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 41))
+        sigma = (0.01, 0.05)[seed % 2]
+        b = rng.uniform(0.1, 1.0)
+        truth = LogisticParams(K=10 ** rng.uniform(0, 4), a=b * rng.uniform(5, n), b=b)
+        noise = rng.standard_normal(n)
+        series = make_series(
+            [(t, logistic_value(truth, t) * math.exp(sigma * noise[t])) for t in range(n)]
+        )
+        t = np.arange(n, dtype=float)
+        v = np.array(series.values)
+        v_max = v.max()
+        K = v_max + np.geomspace(K_EPSILON * v_max, (K_MAX_FACTOR - 1) * v_max, 4096)
+        slope, intercept = np.polyfit(t, np.log((K[None, :] - v[:, None]) / v[:, None]), 1)
+        pred = K / (1 + np.exp(intercept + slope * t[:, None]))
+        grid_best = float(((v[:, None] - pred) ** 2).sum(axis=0).min())
+        assert logistic_sse(logistic_fit(series), series) <= (1 + 1e-9) * grid_best
 
     def test_parameters_are_python_floats(self):
         truth = LogisticParams(K=100.0, a=5.0, b=0.5)

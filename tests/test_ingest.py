@@ -219,6 +219,12 @@ class TestManifest:
         with pytest.raises(ParseError, match="invalid JSON"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("series", [5, None, "a.csv", {"file": "a.csv"}])
+    def test_non_list_series_rejected(self, tmp_path, series):
+        path = write_manifest(tmp_path / "m.json", {"series": series})
+        with pytest.raises(ParseError, match="'series' must be a list"):
+            load_manifest(path)
+
     def test_entry_without_file_rejected(self, tmp_path):
         path = write_manifest(tmp_path / "m.json", {"series": [{"name": "x"}]})
         with pytest.raises(ParseError, match="'file'"):
