@@ -25,12 +25,9 @@ from .growth import (
     AllometricModel,
     LogisticParams,
     allometric_constants,
-    allometric_predict,
     logistic_value,
-    logit_transform,
 )
 from .ingest import (
-    AlignedPair,
     DatasetManifest,
     SeriesRef,
     TimeSeries,
@@ -46,7 +43,6 @@ from .waves import (
     Takeover,
     WaveEvents,
     WaveMetrics,
-    WaveSummary,
     extract_wave_events,
     intro_gap_diagnostic,
     summarize_waves,
@@ -56,7 +52,6 @@ from .waves import (
 
 __all__ = [
     "AbsoluteTolerance",
-    "AlignedPair",
     "AllometricModel",
     "DatasetManifest",
     "EstimationError",
@@ -75,10 +70,8 @@ __all__ = [
     "ValidationError",
     "WaveEvents",
     "WaveMetrics",
-    "WaveSummary",
     "align_pair",
     "allometric_constants",
-    "allometric_predict",
     "classify_regime",
     "extract_wave_events",
     "fisher_pry_fit",
@@ -88,7 +81,6 @@ __all__ = [
     "logistic_fit",
     "logistic_sse",
     "logistic_value",
-    "logit_transform",
     "ols_fit",
     "parse_series",
     "read_series",

@@ -25,7 +25,8 @@ from .estimation import (
 )
 from .growth import LogisticParams, logistic_value
 from .ingest import (
-    TimeSeries, load_manifest, read_json_object, read_series, serialize_series,
+    TimeSeries, json_number, load_manifest, read_json_object, read_series,
+    serialize_series,
 )
 from .reporting import (
     VERSION,
@@ -192,9 +193,8 @@ def _cmd_waves(args) -> int:
     if not processed:
         raise ValidationError(f"{args.manifest}: no series could be analyzed")
 
-    summary = summarize_waves(
-        completed_metrics, n_excluded=len(processed) - len(completed_metrics)
-    )
+    n_waves = len(completed_metrics)
+    n_excluded = len(processed) - n_waves
     takeovers = []
     gap_pairs = []
     for (old_series, old_events), (new_series, new_events) in zip(
@@ -224,11 +224,11 @@ def _cmd_waves(args) -> int:
     payload = {
         "technologies": entries,
         "summary": {
-            "n_waves": summary.n_waves,
-            "n_excluded": summary.n_excluded,
+            "n_waves": n_waves,
+            "n_excluded": n_excluded,
             **{
                 name: {"mean": mu, "sd": sd}
-                for name, (mu, sd) in summary.stats.items()
+                for name, (mu, sd) in summarize_waves(completed_metrics).items()
             },
         },
         "takeovers": takeovers,
@@ -245,32 +245,14 @@ def _cmd_waves(args) -> int:
         payload=payload,
         inputs=[args.manifest],
         narrative=(
-            f"{summary.n_waves} completed wave(s) summarized, "
-            f"{summary.n_excluded} still in progress (flagged '*')."
+            f"{n_waves} completed wave(s) summarized, "
+            f"{n_excluded} still in progress (flagged '*')."
         ),
         warnings=warnings,
         timestamp=not args.no_timestamp,
     )
     _emit(render_report(report), args.output)
     return EXIT_OK
-
-
-def _json_number(value, what: str, integer: bool = False):
-    """A JSON number as a float, or as an int when integer is set.
-
-    Anything else (strings, bools, null, a float where an integer is
-    needed) is a ParseError naming what.
-    """
-    kind = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if integer else "a number"
-        raise ParseError(f"{what} must be {expected}, got {value!r}")
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError(f"{what} is too large for a float")
 
 
 def _load_sim_params(path: str) -> dict:
@@ -287,7 +269,7 @@ def _sim_series(
     if not isinstance(spec, dict):
         raise ParseError(f"{role} parameters must be an object, got {spec!r}")
     try:
-        K, a, b = (_json_number(spec[k], f"{role} {k}") for k in "Kab")
+        K, a, b = (json_number(spec[k], f"{role} {k}") for k in "Kab")
     except KeyError as exc:
         raise ParseError(f"{role} parameters missing key {exc}")
     params = LogisticParams(K=K, a=a, b=b)
@@ -318,16 +300,16 @@ def _cmd_simulate(args) -> int:
     if not isinstance(yr, dict) or "first" not in yr or "last" not in yr:
         raise ParseError(f"{args.params}: 'years' must hold 'first' and 'last'")
     first, last = (
-        _json_number(yr[k], f"{args.params}: years {k}", integer=True)
+        json_number(yr[k], f"{args.params}: years {k}", integer=True)
         for k in ("first", "last")
     )
     if first > last:
         raise ValidationError(f"empty year range {first}:{last}")
     years = list(range(first, last + 1))
-    sigma = _json_number(doc.get("noise_sigma", 0.0), f"{args.params}: noise_sigma")
+    sigma = json_number(doc.get("noise_sigma", 0.0), f"{args.params}: noise_sigma")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
-    seed = _json_number(doc.get("seed", 0), f"{args.params}: seed", integer=True)
+    seed = json_number(doc.get("seed", 0), f"{args.params}: seed", integer=True)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = None

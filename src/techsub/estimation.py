@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -197,12 +198,11 @@ def killer_fit(
     bounds), drops years where either level is non-positive, and runs OLS
     in natural-log space. Needs at least 3 usable aligned observations.
     """
-    pair = align_pair(killer, victim, bounds)
     years = []
     log_k = []
     log_v = []
     dropped = 0
-    for year, kv, vv in zip(pair.years, pair.killer_values, pair.victim_values):
+    for year, kv, vv in align_pair(killer, victim, bounds):
         if kv > 0.0 and vv > 0.0:
             years.append(year)
             log_k.append(math.log(kv))
@@ -233,22 +233,26 @@ K_GRID_SIZE = 384
 
 
 def _logit_ols(np, gaps, t, v):
-    """Closed-form (a, b, level SSE) for every capacity K = max(v) + gap.
+    """Closed-form (a, b, level SSE / max(v)**2) for each capacity K = max(v) + gap.
 
     gaps is an array of candidates; each result is an array with one entry
     per candidate, all computed in one (candidates x n) pass. np is the
     numpy module, passed in so that the search does not import per scan.
     """
-    K = (v.max() + gaps)[:, None]
+    v_max = v.max()
+    K = (v_max + gaps)[:, None]
     z = np.log((K - v) / v)
     t_mean = t.mean()
     z_mean = z.mean(axis=1)
     dt = t - t_mean
     b = -((z - z_mean[:, None]) @ dt) / float(dt @ dt)
     a = z_mean + b * t_mean
+    # residuals at unit scale, so that the SSE neither overflows nor underflows
     with np.errstate(over="ignore"):
-        pred = K / (1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0)))
-    resid = v - pred
+        pred = (K / v_max) / (
+            1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
+        )
+    resid = v / v_max - pred
     return a, b, np.einsum("ij,ij->i", resid, resid)
 
 
@@ -266,7 +270,9 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     b < 0.
 
     Non-positive observations are dropped; at least 4 must remain and the
-    series must not be constant (it has no S-shaped curve to fit).
+    series must not be constant (it has no S-shaped curve to fit). The
+    search interval must be representable: K_EPSILON*max a normal float
+    and K_MAX_FACTOR*max finite (max from about 2.2e-294 to 3.6e306).
     """
     import numpy as np
 
@@ -281,6 +287,8 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
         raise EstimationError("series is constant, no S-shaped growth to fit")
 
     v_max = float(v.max())
+    if K_EPSILON * v_max < sys.float_info.min or math.isinf(K_MAX_FACTOR * v_max):
+        raise EstimationError(f"series maximum {v_max!r} is outside the fittable range")
     # gap = K - max(series); searched in log space
     lo = math.log(K_EPSILON * v_max)
     hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
@@ -291,7 +299,7 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
         best = int(np.argmin(sse))
         lo = u[max(best - 1, 0)]
         hi = u[min(best + 1, K_GRID_SIZE - 1)]
-        if not hi - lo > 1e-12:  # also stops when an overflowed interval gave NaN
+        if hi - lo <= 1e-12:
             break
 
     a, b = float(a[best]), float(b[best])

@@ -86,20 +86,6 @@ def logistic_value(params: LogisticParams, t: float) -> float:
     return params.K / (1.0 + math.exp(u))
 
 
-def logit_transform(params: LogisticParams, level: float) -> float:
-    """Return ln((K - level) / level), the logit of a level against K.
-
-    Inverse view of the curve: for level = logistic_value(params, t) the
-    result is a - b*t. Raises ValidationError outside the open interval
-    (0, K), which signals a series value at or beyond the fitted capacity.
-    """
-    if not (0.0 < level < params.K):
-        raise ValidationError(
-            f"level must lie strictly inside (0, {params.K}), got {level}"
-        )
-    return math.log((params.K - level) / level)
-
-
 def allometric_constants(
     victim: LogisticParams, killer: LogisticParams
 ) -> AllometricModel:
@@ -130,10 +116,3 @@ def allometric_constants(
             f"scale constant exp({log_A:.6g}) is not representable for this pair"
         )
     return AllometricModel(A=math.exp(log_A), B=B, C1=C1)
-
-
-def allometric_predict(model: AllometricModel, v: float) -> float:
-    """Predicted killer level A * v**B for a victim level v > 0."""
-    if not (v > 0):
-        raise ValidationError(f"victim level must be > 0, got {v}")
-    return model.A * v**model.B

@@ -126,53 +126,29 @@ def serialize_series(series: TimeSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    """Inner join of a killer and victim series on year."""
-
-    years: tuple[int, ...]
-    killer_values: tuple[float, ...]
-    victim_values: tuple[float, ...]
-    killer_dropped: int
-    victim_dropped: int
-
-    def __len__(self):
-        return len(self.years)
-
-
 def align_pair(
     killer: TimeSeries,
     victim: TimeSeries,
     bounds: tuple[int, int] | None = None,
-) -> AlignedPair:
+) -> list[tuple[int, float, float]]:
     """Pair the two series year-by-year, restricted to bounds when given.
 
-    Years present on only one side (or outside the bounds) are dropped and
-    counted per side. An empty intersection raises ValidationError.
+    Returns (year, killer_value, victim_value) rows in year order; years
+    present on only one side (or outside the bounds) are dropped. An empty
+    intersection raises ValidationError.
     """
-    k = killer.restrict(bounds)
-    v = victim.restrict(bounds)
-    victim_by_year = dict(v.points)
-    years = []
-    kv = []
-    vv = []
-    for year, value in k.points:
-        if year in victim_by_year:
-            years.append(year)
-            kv.append(value)
-            vv.append(victim_by_year[year])
-    if not years:
+    victim_by_year = dict(victim.restrict(bounds).points)
+    rows = [
+        (year, value, victim_by_year[year])
+        for year, value in killer.restrict(bounds).points
+        if year in victim_by_year
+    ]
+    if not rows:
         raise ValidationError(
             f"series {killer.name!r} and {victim.name!r} share no years"
             + (f" within {bounds[0]}-{bounds[1]}" if bounds else "")
         )
-    return AlignedPair(
-        years=tuple(years),
-        killer_values=tuple(kv),
-        victim_values=tuple(vv),
-        killer_dropped=len(killer) - len(years),
-        victim_dropped=len(victim) - len(years),
-    )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -219,8 +195,11 @@ class DatasetManifest:
 def _series_ref(obj, context: str) -> SeriesRef:
     if not isinstance(obj, dict) or "file" not in obj:
         raise ParseError(f"manifest {context} entry must be an object with a 'file' key")
+    for key in ("file", "name"):
+        if not isinstance(obj.get(key, ""), str):
+            raise ParseError(f"manifest {context} {key!r} must be a string, got {obj[key]!r}")
     return SeriesRef(
-        file=str(obj["file"]),
+        file=obj["file"],
         name=obj.get("name"),
         unit=str(obj.get("unit", "")),
         role=str(obj.get("role", "")),
@@ -241,6 +220,24 @@ def read_json_object(path: str | Path, root: str) -> dict:
     return doc
 
 
+def json_number(value, what: str, integer: bool = False):
+    """A JSON number as a float, or as an int when integer is set.
+
+    Anything else (strings, bools, null, a float where an integer is
+    needed) is a ParseError naming what.
+    """
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integer else "a number"
+        raise ParseError(f"{what} must be {expected}, got {value!r}")
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float")
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and validate a JSON dataset manifest (schema in the README)."""
     path = Path(path)
@@ -249,21 +246,23 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     period = None
     if "period" in doc:
         p = doc["period"]
-        if (
-            not isinstance(p, dict)
-            or not isinstance(p.get("first"), int)
-            or not isinstance(p.get("last"), int)
-        ):
+        if not isinstance(p, dict) or "first" not in p or "last" not in p:
             raise ParseError(f"{path}: 'period' must hold integer 'first' and 'last'")
-        if p["first"] > p["last"]:
-            raise ValidationError(f"{path}: period first {p['first']} > last {p['last']}")
-        period = (p["first"], p["last"])
+        first, last = (
+            json_number(p[k], f"{path}: period {k}", integer=True) for k in ("first", "last")
+        )
+        if first > last:
+            raise ValidationError(f"{path}: period first {first} > last {last}")
+        period = (first, last)
 
+    dataset = doc.get("dataset", path.stem)
+    if not isinstance(dataset, str):
+        raise ParseError(f"{path}: 'dataset' must be a string, got {dataset!r}")
     series = doc.get("series", [])
     if not isinstance(series, list):
         raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
     return DatasetManifest(
-        dataset=str(doc.get("dataset", path.stem)),
+        dataset=dataset,
         description=str(doc.get("description", "")),
         killer=_series_ref(doc["killer"], "killer") if "killer" in doc else None,
         victim=_series_ref(doc["victim"], "victim") if "victim" in doc else None,

@@ -7,7 +7,7 @@ which keeps golden-file and structural tests trivial.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH = 640
 HEIGHT = 480
@@ -78,7 +78,7 @@ def render_scatter(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
 
     bottom = MARGIN_TOP + plot_h
@@ -115,12 +115,12 @@ def render_scatter(
 
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{escape(ylabel, quote=False)}</text>'
     )
 
     if vline is not None:
@@ -131,7 +131,7 @@ def render_scatter(
         )
         parts.append(
             f'<text x="{_fmt(px(vx) + 4)}" y="{MARGIN_TOP + 14}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="11" fill="gray">{escape(vlabel)}</text>'
+            f'font-family="sans-serif" font-size="11" fill="gray">{escape(vlabel, quote=False)}</text>'
         )
 
     if line is not None:
@@ -151,7 +151,7 @@ def render_scatter(
     if annotation:
         parts.append(
             f'<text x="{right - 8}" y="{MARGIN_TOP + 16}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13">{escape(annotation)}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(annotation, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -53,21 +53,6 @@ class WaveMetrics:
     downwave_fraction: float | None
 
 
-@dataclass(frozen=True)
-class WaveSummary:
-    """Mean and sample standard deviation of each metric across waves.
-
-    stats maps each WaveMetrics field name, in field order, to its
-    (mean, sd) pair. SDs use the n-1 denominator and are None for fewer
-    than two waves, means for none; fraction statistics skip zero-length
-    cycles.
-    """
-
-    n_waves: int
-    n_excluded: int
-    stats: dict[str, tuple[float | None, float | None]]
-
-
 def extract_wave_events(
     series: TimeSeries, active_threshold: float = 0.0
 ) -> WaveEvents:
@@ -129,13 +114,19 @@ def _mean_sd(values: list[float | None]) -> tuple[float | None, float | None]:
     return mean(values), (stdev(values) if len(values) >= 2 else None)
 
 
-def summarize_waves(metrics: list[WaveMetrics], n_excluded: int = 0) -> WaveSummary:
-    """Aggregate completed waves; n_excluded records incomplete ones left out."""
-    stats = {
+def summarize_waves(
+    metrics: list[WaveMetrics],
+) -> dict[str, tuple[float | None, float | None]]:
+    """Mean and sample standard deviation of each metric across waves.
+
+    Maps each WaveMetrics field name, in field order, to its (mean, sd)
+    pair. SDs use the n-1 denominator and are None for fewer than two
+    waves, means for none; fraction statistics skip zero-length cycles.
+    """
+    return {
         f.name: _mean_sd([getattr(m, f.name) for m in metrics])
         for f in fields(WaveMetrics)
     }
-    return WaveSummary(n_waves=len(metrics), n_excluded=n_excluded, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -154,10 +145,7 @@ class Takeover:
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
     """Scan common years for the first strict crossing; None when it never happens."""
-    pair = align_pair(new_tech, established)
-    for year, new_value, old_value in zip(
-        pair.years, pair.killer_values, pair.victim_values
-    ):
+    for year, new_value, old_value in align_pair(new_tech, established):
         if new_value > old_value:
             return Takeover(year=year, new_value=new_value, old_value=old_value)
     return None

@@ -343,6 +343,9 @@ class TestWaves:
             (b'{"dataset": "\xff"}', "invalid JSON"),
             (b'{"series": 5}', "'series' must be a list"),
             (b'{"series": null}', "'series' must be a list"),
+            (b'{"period": {"first": true, "last": 2000}}', "period first must be an integer"),
+            (b'{"series": [{"file": "a.csv", "name": 5}]}', "'name' must be a string"),
+            (b'{"dataset": ["x"]}', "'dataset' must be a string"),
         ],
     )
     def test_unreadable_manifest_is_parse_failure(
@@ -592,3 +595,12 @@ class TestImportBoundary:
         assert not after_light["numpy"] and not after_light["scipy"]
         assert after_fit["numpy"] and after_fit["scipy.special"]
         assert not after_fit["scipy.stats"]
+
+    def test_cli_import_leaves_out_the_network_stack(self):
+        done = run_python(
+            "-c",
+            "import sys, techsub.cli; "
+            "print([m for m in ('xml.sax', 'http.client') if m in sys.modules])",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

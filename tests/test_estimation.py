@@ -359,6 +359,24 @@ class TestLogisticFit:
         with np.errstate(invalid="ignore"), pytest.raises(TechsubError):
             logistic_fit(series)
 
+    @pytest.mark.parametrize("exponent", range(-294, 301, 6))
+    def test_fit_scales_with_the_series(self, exponent):
+        # the level SSE at 10**exponent would overflow or underflow if it
+        # were scored at the series' own scale
+        line = [(t, float(t + 1)) for t in range(6)]
+        scale = float(f"1e{exponent}")
+        base = logistic_fit(make_series(line, "s"))
+        fit = logistic_fit(make_series([(t, scale * v) for t, v in line], "s"))
+        assert fit.K / scale == pytest.approx(base.K, rel=1e-6)
+        assert fit.a == pytest.approx(base.a, rel=1e-6)
+        assert fit.b == pytest.approx(base.b, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-295, 1e-311, 1e307, 3.6e306])
+    def test_unsearchable_magnitudes_rejected(self, scale):
+        series = make_series([(t, scale * (1 + t) / 6) for t in range(6)], "s")
+        with pytest.raises(EstimationError, match="outside the fittable range"):
+            logistic_fit(series)
+
     def test_too_few_positive_observations(self):
         series = make_series([(0, 0.0), (1, 0.0), (2, 1.0), (3, 2.0)], "sparse")
         with pytest.raises(EstimationError, match="at least 4"):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -10,9 +8,7 @@ from techsub.growth import (
     AllometricModel,
     LogisticParams,
     allometric_constants,
-    allometric_predict,
     logistic_value,
-    logit_transform,
 )
 
 capacities = st.floats(min_value=1e-3, max_value=1e9)
@@ -72,32 +68,6 @@ class TestLogisticValue:
             assert v1 < v2
 
 
-class TestLogitTransform:
-    def test_midpoint_is_zero(self):
-        p = LogisticParams(K=100, a=0, b=1)
-        assert logit_transform(p, 50.0) == 0.0
-
-    def test_inverts_logistic_at_unit_exponent(self):
-        p = LogisticParams(K=100, a=1, b=1)
-        level = 100.0 / (1.0 + math.e)
-        assert logit_transform(p, level) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("level", [0.0, -1.0, 100.0, 150.0])
-    def test_domain_errors(self, level):
-        p = LogisticParams(K=100, a=0, b=1)
-        with pytest.raises(ValidationError):
-            logit_transform(p, level)
-
-    @given(params_st, st.floats(min_value=-12, max_value=30))
-    def test_round_trip_recovers_exponent(self, p, u):
-        # exponent floor -12: closer to saturation the K - level subtraction
-        # cancels too many bits for the 1e-10 round-trip guarantee
-        t = (p.a - u) / p.b
-        level = logistic_value(p, t)
-        assume(0.0 < level < p.K)
-        assert logit_transform(p, level) == pytest.approx(p.a - p.b * t, abs=1e-10)
-
-
 class TestAllometricConstants:
     def test_identical_dynamics(self):
         victim = LogisticParams(K=100, a=5, b=1)
@@ -129,19 +99,6 @@ class TestAllometricConstants:
         with pytest.raises(ValidationError):
             AllometricModel(A=1.0, B=1.0, C1=0.0)
 
-
-class TestAllometricPredict:
-    def test_linear_case(self):
-        assert allometric_predict(AllometricModel(A=2, B=1, C1=1), 10.0) == pytest.approx(20.0)
-
-    def test_square_law(self):
-        assert allometric_predict(AllometricModel(A=1, B=2, C1=1), 3.0) == pytest.approx(9.0)
-
-    @pytest.mark.parametrize("v", [0.0, -3.0])
-    def test_domain_error(self, v):
-        with pytest.raises(ValidationError):
-            allometric_predict(AllometricModel(A=1, B=2, C1=1), v)
-
     def test_matches_simulated_killer_in_deep_small_value_regime(self):
         # Power-law limit of the exact odds identity: the prediction error
         # factor is (1-v/K1)^B / (1-kl/K2), about B*v/K1 for small levels,
@@ -155,7 +112,7 @@ class TestAllometricPredict:
             if v > 0.01 * victim.K:
                 continue
             kl_true = logistic_value(killer, t)
-            kl_pred = allometric_predict(model, v)
+            kl_pred = model.A * v**model.B
             assert kl_pred == pytest.approx(kl_true, rel=0.02)
             checked += 1
         assert checked >= 5

@@ -131,9 +131,8 @@ class TestAlignPair:
     def test_full_overlap(self):
         killer = make_series([(y, 1.0) for y in range(1955, 1972)], "k")
         victim = make_series([(y, 2.0) for y in range(1955, 1972)], "v")
-        pair = align_pair(killer, victim)
-        assert len(pair) == 17
-        assert pair.killer_dropped == 0 and pair.victim_dropped == 0
+        rows = align_pair(killer, victim)
+        assert rows == [(y, 1.0, 2.0) for y in range(1955, 1972)]
 
     def test_disjoint_ranges_rejected(self):
         killer = make_series([(2000, 1.0)], "k")
@@ -144,10 +143,8 @@ class TestAlignPair:
     def test_bounds_restrict_the_join(self):
         killer = make_series([(y, 1.0) for y in range(2004, 2019)], "k")
         victim = make_series([(y, 2.0) for y in range(1983, 2019)], "v")
-        pair = align_pair(killer, victim, (2004, 2018))
-        assert len(pair) == 15
-        assert pair.years == tuple(range(2004, 2019))
-        assert pair.victim_dropped == 36 - 15
+        rows = align_pair(killer, victim, (2004, 2018))
+        assert rows == [(y, 1.0, 2.0) for y in range(2004, 2019)]
 
     @given(
         st.sets(st.integers(1900, 2000), min_size=1, max_size=40),
@@ -161,10 +158,8 @@ class TestAlignPair:
             with pytest.raises(ValidationError):
                 align_pair(killer, victim)
             return
-        pair = align_pair(killer, victim)
-        assert set(pair.years) == common
-        assert len(pair) <= min(len(killer), len(victim))
-        assert list(pair.years) == sorted(pair.years)
+        years = [year for year, _, _ in align_pair(killer, victim)]
+        assert years == sorted(common)
 
 
 class TestManifest:
@@ -223,6 +218,24 @@ class TestManifest:
     def test_non_list_series_rejected(self, tmp_path, series):
         path = write_manifest(tmp_path / "m.json", {"series": series})
         with pytest.raises(ParseError, match="'series' must be a list"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"period": {"first": True, "last": 2000}}, "period first must be an integer"),
+            ({"period": {"first": 1990, "last": 2000.0}}, "period last must be an integer"),
+            ({"period": {"first": "1990", "last": 2000}}, "period first must be an integer"),
+            ({"dataset": ["x"]}, "'dataset' must be a string"),
+            ({"dataset": 7}, "'dataset' must be a string"),
+            ({"series": [{"file": "a.csv", "name": 5}]}, "'name' must be a string"),
+            ({"series": [{"file": 5}]}, "'file' must be a string"),
+            ({"killer": {"file": ["k.csv"]}}, "'file' must be a string"),
+        ],
+    )
+    def test_mistyped_fields_rejected(self, tmp_path, doc, message):
+        path = write_manifest(tmp_path / "m.json", doc)
+        with pytest.raises(ParseError, match=message):
             load_manifest(path)
 
     def test_entry_without_file_rejected(self, tmp_path):

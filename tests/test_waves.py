@@ -131,8 +131,8 @@ class TestSummarizeWaves:
             wave_metrics(WaveEvents("c", 0, 0, 17)),
         ]
         summary = summarize_waves(metrics)
-        assert summary.stats["downwave_years"][0] == pytest.approx(12.0)
-        assert summary.stats["downwave_years"][1] == pytest.approx(7.0)  # sample (n-1) SD
+        assert summary["downwave_years"][0] == pytest.approx(12.0)
+        assert summary["downwave_years"][1] == pytest.approx(7.0)  # sample (n-1) SD
 
     def test_upwave_statistics(self):
         metrics = [
@@ -141,20 +141,17 @@ class TestSummarizeWaves:
             wave_metrics(WaveEvents("c", 0, 18, 19)),
         ]
         summary = summarize_waves(metrics)
-        assert summary.stats["upwave_years"][0] == pytest.approx(19.0)
-        assert summary.stats["upwave_years"][1] == pytest.approx(6.56, abs=0.01)
+        assert summary["upwave_years"][0] == pytest.approx(19.0)
+        assert summary["upwave_years"][1] == pytest.approx(6.56, abs=0.01)
 
     def test_single_wave_has_no_sd(self):
         summary = summarize_waves([wave_metrics(WaveEvents("a", 0, 4, 10))])
-        assert summary.stats["upwave_years"][0] == pytest.approx(4.0)
-        assert summary.stats["upwave_years"][1] is None
-        assert summary.n_waves == 1
+        assert summary["upwave_years"][0] == pytest.approx(4.0)
+        assert summary["upwave_years"][1] is None
 
     def test_empty_input(self):
-        summary = summarize_waves([], n_excluded=2)
-        assert summary.n_waves == 0
-        assert summary.n_excluded == 2
-        assert summary.stats["upwave_years"][0] is None
+        summary = summarize_waves([])
+        assert summary["upwave_years"] == (None, None)
 
 
 class TestTakeoverYear:
