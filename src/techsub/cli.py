@@ -71,8 +71,8 @@ def _parse_tolerance(text: str):
             value = float(text[4:])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError("tolerance must be >= 0")
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {value}")
         return AbsoluteTolerance(value)
     raise argparse.ArgumentTypeError(
         f"expected 'ttest' or 'abs:X', got {text!r}"
@@ -272,17 +272,16 @@ def _sim_series(
         K, a, b = (json_number(spec[k], f"{role} {k}") for k in "Kab")
     except KeyError as exc:
         raise ParseError(f"{role} parameters missing key {exc}")
+    name, unit = spec.get("name", role), spec.get("unit", "")
+    for key, text in (("name", name), ("unit", unit)):
+        if not isinstance(text, str):
+            raise ParseError(f"{role} {key} must be a string, got {text!r}")
     params = LogisticParams(K=K, a=a, b=b)
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
         noise = rng.standard_normal(len(values))
         values = [v * math.exp(sigma * e) for v, e in zip(values, noise)]
-    name = spec.get("name", role)
-    return TimeSeries(
-        name=name,
-        unit=spec.get("unit", ""),
-        points=tuple(zip(years, values)),
-    ), params
+    return TimeSeries(name=name, unit=unit, points=tuple(zip(years, values))), params
 
 
 def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:

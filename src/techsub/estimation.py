@@ -5,8 +5,9 @@ logistic fitting and the Fisher-Pry share-substitution fit.
 All logarithms are natural. Non-positive observations are dropped from
 log-space fits (and counted), never clamped.
 
-numpy and scipy.special are imported inside the functions that need them,
-so commands that fit nothing (simulate, waves) never load them.
+The regression and its t tail are pure Python: sums are math.fsum, so
+they are correctly rounded and the same on every CPU. numpy is imported
+inside logistic_fit only, and no command loads it to fit a line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 from .errors import EstimationError, ValidationError
@@ -28,8 +30,8 @@ class RegressionFit:
 
     se_estimate is the residual standard error; r2_adj penalizes degrees
     of freedom; f_stat equals the squared slope t statistic (simple
-    regression identity), with p values from the t/F distributions on
-    n - 2 degrees of freedom.
+    regression identity), so the F test and the two-sided slope t test on
+    n - 2 degrees of freedom have one p value, stored in both p fields.
     """
 
     alpha: float
@@ -62,10 +64,7 @@ class TTestTolerance:
     alpha: float = 0.05
 
     def tolerance(self, fit: RegressionFit) -> float:
-        from scipy import special
-
-        t_crit = float(special.stdtrit(fit.n - 2, 1.0 - self.alpha / 2.0))
-        return t_crit * fit.se_beta
+        return t_critical(self.alpha, fit.n - 2) * fit.se_beta
 
 
 @dataclass(frozen=True)
@@ -102,39 +101,157 @@ class FisherPryFit:
     regression: RegressionFit
 
 
+# stands in for a zero denominator in the continued fraction (Lentz's method)
+_TINY = 1e-300
+
+
+def _beta_half(dof: int) -> float:
+    """B(dof/2, 1/2), from B(1/2, 1/2) = pi or B(1, 1/2) = 2 and
+    B(a + 1, 1/2) = B(a, 1/2) * a / (a + 1/2)."""
+    a, beta = (0.5, math.pi) if dof % 2 else (1.0, 2.0)
+    while a < 0.5 * dof:
+        beta *= a / (a + 0.5)
+        a += 1.0
+    return beta
+
+
+def t_tail(t: float, dof: int, beta: float | None = None) -> float:
+    """Two-sided Student t tail P(|T| >= |t|) on integer dof >= 1.
+
+    This is the regularised incomplete beta I_x(dof/2, 1/2) at
+    x = dof/(dof + t^2). Near the centre, x >= (a + 1)/(a + 5/2) with
+    a = dof/2, and for dof 1 at any t, it is one minus the finite sums of
+    Abramowitz & Stegun 26.7.3/26.7.4; elsewhere it is the incomplete beta
+    continued fraction (Lentz's method) times x^a sqrt(1 - x) / (a B(a, 1/2)).
+    beta, if given, is B(dof/2, 1/2).
+    """
+    t2 = t * t
+    if math.isinf(t2):
+        return 0.0
+    s = dof + t2
+    x = dof / s
+    a = 0.5 * dof
+    if dof == 1 or x >= (a + 1.0) / (a + 2.5):
+        term = total = 1.0
+        if dof % 2:
+            # 1 - (2/pi)(theta + sin cos (1 + (2/3)x + (2*4)/(3*5)x^2 + ...))
+            for k in range(1, (dof - 1) // 2):
+                term *= x * (2 * k) / (2 * k + 1)
+                total += term
+            sin_cos = math.sqrt(x * t2 / s) if dof > 1 else 0.0
+            return (math.atan2(math.sqrt(dof), abs(t)) - sin_cos * total) / (0.5 * math.pi)
+        # 1 - sin (1 + (1/2)x + (1*3)/(2*4)x^2 + ...)
+        for k in range(1, dof // 2):
+            term *= x * (2 * k - 1) / (2 * k)
+            total += term
+        return 1.0 - abs(t) / math.sqrt(s) * total
+    if beta is None:
+        beta = _beta_half(dof)
+    c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        am = a + 2 * m
+        num = m * (0.5 - m) * x / ((am - 1.0) * am)
+        d = 1.0 / (1.0 + num * d or _TINY)
+        c = 1.0 + num / c or _TINY
+        h *= d * c
+        num = -(a + m) * (a + 0.5 + m) * x / (am * (am + 1.0))
+        d = 1.0 / (1.0 + num * d or _TINY)
+        c = 1.0 + num / c or _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= sys.float_info.epsilon:
+            break
+    # x^a: pow's error is a times x's rounding error; exp's is about
+    # a*|ln x| ulp, smaller when x > 1/2
+    xa = math.exp(-a * math.log1p(t2 / dof)) if x > 0.5 else x**a
+    return xa * math.sqrt(t2 / s) / (a * beta) * h
+
+
+def _hill_start(alpha: float, dof: int) -> float:
+    """Hill's approximation to t_critical (1970, CACM Algorithm 396);
+    exact for dof 1 and 2."""
+    if dof == 1:
+        return 1.0 / math.tan(0.5 * math.pi * alpha)
+    if dof == 2:
+        return math.sqrt(2.0 / (alpha * (2.0 - alpha)) - 2.0)
+    n = float(dof)
+    a = 1.0 / (n - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * n
+    y = (d * alpha) ** (2.0 / n)
+    if y > 0.05 + a:
+        z = NormalDist().inv_cdf(1.0 - 0.5 * alpha)
+        y = z * z
+        if dof < 5:
+            c += 0.3 * (n - 4.5) * (z + 0.6)
+        c = (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * z
+        y = math.expm1(a * y * y)
+    else:
+        y = (
+            (1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
+             + 0.5 / (n + 4.0)) * y - 1.0
+        ) * (n + 1.0) / (n + 2.0) + 1.0 / y
+    return math.sqrt(n * y)
+
+
+def t_critical(alpha: float, dof: int) -> float:
+    """The t > 0 with t_tail(t, dof) == alpha, for 0 < alpha < 1.
+
+    Halley steps on t_tail from _hill_start, until a step is below 1e-6
+    relative; the first two derivatives of the tail are closed-form, so
+    each step costs one tail evaluation. One or two steps are usual.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"t test level alpha must lie in (0, 1), got {alpha}")
+    beta = _beta_half(dof)
+    n = float(dof)
+    t = _hill_start(alpha, dof)
+    for _ in range(20):
+        s = n + t * t
+        # tail' = -2 f(t) and tail'' = 2 f(t) (n + 1) t / s, f the density
+        density = (n / s) ** (0.5 * (n + 1.0)) / (math.sqrt(n) * beta)
+        newton = (t_tail(t, dof, beta) - alpha) / (2.0 * density)
+        step = newton / max(1.0 - newton * (n + 1.0) * t / (2.0 * s), 0.5)
+        t = max(t + step, 0.5 * t)
+        if abs(step) <= 1e-6 * t:
+            break
+    return t
+
+
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
     Requires n >= 3 (residual degrees of freedom), finite values and
     non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
-    zero p values.
+    zero p values. Every sum is math.fsum, so the result does not depend
+    on summation order. p_value_beta and p_value_f are the same number,
+    t_tail of the slope's t statistic, since F = t^2.
     """
-    import numpy as np
-    from scipy import special
-
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    x = [float(v) for v in xs]
+    y = [float(v) for v in ys]
     n = len(x)
     if len(y) != n:
         raise EstimationError(f"xs and ys lengths differ ({n} vs {len(y)})")
     if n < 3:
         raise EstimationError(f"need at least 3 observations, got {n}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not all(map(math.isfinite, x + y)):
         raise EstimationError("xs and ys must be finite (NaN or infinity found)")
-    x_mean = float(x.mean())
-    y_mean = float(y.mean())
-    dx = x - x_mean
-    dy = y - y_mean
-    sxx = float(dx @ dx)
+    x_mean = math.fsum(x) / n
+    y_mean = math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    sxx = math.fsum([d * d for d in dx])
     if sxx == 0.0:
         raise EstimationError("xs have zero variance, slope undefined")
-    sxy = float(dx @ dy)
-    sst = float(dy @ dy)
+    sxy = math.fsum([u * v for u, v in zip(dx, dy)])
+    sst = math.fsum([d * d for d in dy])
 
     beta = sxy / sxx
     alpha = y_mean - beta * x_mean
-    resid = y - (alpha + beta * x)
-    sse = float(resid @ resid)
+    sse = math.fsum([(v - (alpha + beta * u)) ** 2 for u, v in zip(x, y)])
     dof = n - 2
 
     r2 = 1.0 - sse / sst if sst > 0.0 else 1.0
@@ -147,9 +264,7 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         t_beta = beta / se_beta
     else:
         t_beta = math.inf if beta != 0.0 else 0.0
-    f_stat = t_beta * t_beta
-    p_value_beta = float(2.0 * special.stdtr(dof, -abs(t_beta)))
-    p_value_f = float(special.fdtrc(1, dof, f_stat))
+    p_value = t_tail(t_beta, dof)
 
     return RegressionFit(
         alpha=alpha,
@@ -159,12 +274,12 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         r2=r2,
         r2_adj=r2_adj,
         se_estimate=se_estimate,
-        f_stat=f_stat,
-        p_value_f=p_value_f,
-        p_value_beta=p_value_beta,
+        f_stat=t_beta * t_beta,
+        p_value_f=p_value,
+        p_value_beta=p_value,
         n=n,
-        xs=tuple(x.tolist()),
-        ys=tuple(y.tolist()),
+        xs=tuple(x),
+        ys=tuple(y),
     )
 
 

@@ -173,6 +173,13 @@ class TestFitKiller:
         assert code == 0
         assert json.loads(out)["payload"]["regime"] == "development"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_regime_tolerance_is_usage_error(self, run_cli, power_law_pair, value):
+        killer_csv, victim_csv = power_law_pair
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit-killer", killer_csv, victim_csv, "--regime-tolerance", f"abs:{value}")
+        assert exc.value.code == 2
+
     def test_output_file(self, run_cli, power_law_pair, tmp_path):
         killer_csv, victim_csv = power_law_pair
         dest = tmp_path / "report.json"
@@ -490,6 +497,27 @@ class TestSimulate:
         assert err.startswith("techsub: parse error: ") and message in err
         assert not (tmp_path / "k.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"victim": {"K": 100.0, "a": 5.0, "b": 0.5, "name": 5}}, "victim name must be a string"),
+            ({"killer": {"K": 200.0, "a": 8.0, "b": 1.0, "name": ["x"]}}, "killer name must be a string"),
+            ({"killer": {"K": 200.0, "a": 8.0, "b": 1.0, "name": None}}, "killer name must be a string"),
+            ({"victim": {"K": 100.0, "a": 5.0, "b": 0.5, "unit": 1.5}}, "victim unit must be a string"),
+        ],
+    )
+    def test_non_string_name_or_unit_is_parse_failure(
+        self, run_cli, tmp_path, overrides, message
+    ):
+        params = self.params_file(tmp_path, **overrides)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == 3
+        assert err.startswith("techsub: parse error: ") and message in err
+        assert not (tmp_path / "k.csv").exists()
+
     @pytest.mark.parametrize("root", ["5", "\"victim killer years\"", "null"])
     def test_non_object_root_is_parse_failure(self, run_cli, tmp_path, root):
         params = tmp_path / "params.json"
@@ -549,8 +577,8 @@ class TestSimulate:
 
 
 class TestImportBoundary:
-    """simulate without noise and waves load neither numpy nor scipy;
-    fits load scipy.special, never scipy.stats."""
+    """simulate without noise, waves, fit-killer and fisher-pry load
+    neither numpy nor scipy."""
 
     SCRIPT = textwrap.dedent(
         """
@@ -560,17 +588,18 @@ class TestImportBoundary:
             "estimation": "techsub.estimation" in sys.modules,
             "numpy": "numpy" in sys.modules,
             "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
-            "scipy.special": "scipy.special" in sys.modules,
-            "scipy.stats": "scipy.stats" in sys.modules,
         }
-        after_import = loaded()
+        stages = [loaded()]
         from techsub.cli import main
-        params, manifest, k, v = sys.argv[1:]
+        params, manifest, k, v, shares = sys.argv[1:]
         assert main(["simulate", params, "--killer-out", k, "--victim-out", v]) == 0
         assert main(["waves", manifest, "--no-timestamp"]) == 0
-        after_simulate_and_waves = loaded()
+        stages.append(loaded())
         assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
-        print(json.dumps([after_import, after_simulate_and_waves, loaded()]))
+        stages.append(loaded())
+        assert main(["fisher-pry", shares, "--no-timestamp"]) == 0
+        stages.append(loaded())
+        print(json.dumps(stages))
         """
     )
 
@@ -582,19 +611,21 @@ class TestImportBoundary:
             "years": {"first": 0, "last": 30},
             "noise_sigma": 0.0,
         }))
+        shares = write_csv(
+            tmp_path / "shares.csv",
+            [(t, 1.0 / (1.0 + math.exp(-0.4 * (t - 10) + 0.1 * math.sin(t)))) for t in range(21)],
+        )
         script = tmp_path / "probe.py"
         script.write_text(self.SCRIPT)
         done = run_python(
             script, params, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
-            tmp_path / "v.csv",
+            tmp_path / "v.csv", shares,
         )
         assert done.returncode == 0, done.stderr
-        after_import, after_light, after_fit = json.loads(done.stdout.splitlines()[-1])
-        assert after_import["estimation"]
-        assert not after_import["numpy"] and not after_import["scipy"]
-        assert not after_light["numpy"] and not after_light["scipy"]
-        assert after_fit["numpy"] and after_fit["scipy.special"]
-        assert not after_fit["scipy.stats"]
+        stages = json.loads(done.stdout.splitlines()[-1])
+        assert stages[0]["estimation"]
+        for loaded in stages:
+            assert not loaded["numpy"] and not loaded["scipy"]
 
     def test_cli_import_leaves_out_the_network_stack(self):
         done = run_python(

@@ -25,6 +25,13 @@ from techsub.estimation import (
 from techsub.growth import LogisticParams, logistic_value
 
 
+def mpmath_t_tail(mp, t, dof):
+    """Independent oracle: P(|T| >= |t|) on dof degrees of freedom as
+    mpmath's regularised incomplete beta, at its working precision."""
+    t, dof = mp.mpf(t), mp.mpf(dof)
+    return mp.betainc(dof / 2, mp.mpf(1) / 2, 0, dof / (dof + t * t), regularized=True)
+
+
 def brute_force_ols(xs, ys):
     """Independent oracle: assemble and solve the normal equations as
     matrices, diagnostics from raw residual sums."""
@@ -131,9 +138,14 @@ class TestOlsFit:
     )
     def test_p_values_at_the_edges_match_scipy_stats(self, xs, ys, p_expected):
         fit = ols_fit(xs, ys)
-        if p_expected is not None:
-            assert fit.p_value_beta == p_expected
-            assert fit.p_value_f == p_expected
+        if p_expected is None:
+            # dof 1 is the Cauchy law: P(|T| >= |t|) = (2/pi) atan(1/|t|)
+            closed = 2.0 / math.pi * math.atan(1.0 / abs(fit.beta / fit.se_beta))
+            assert fit.p_value_beta == fit.p_value_f
+            assert abs(fit.p_value_beta - closed) <= 2 * math.ulp(closed)
+            return
+        assert fit.p_value_beta == p_expected
+        assert fit.p_value_f == p_expected
         if fit.se_beta > 0.0:
             t = fit.beta / fit.se_beta
         else:
@@ -141,8 +153,8 @@ class TestOlsFit:
         assert fit.p_value_beta == float(2.0 * stats.t.sf(abs(t), fit.n - 2))
         assert fit.p_value_f == float(stats.f.sf(fit.f_stat, 1, fit.n - 2))
 
-    def test_p_values_match_scipy_stats_bitwise(self):
-        # p values come from scipy.special; scipy.stats is the oracle
+    def test_p_values_match_scipy_stats(self):
+        # one t tail feeds both p values (F = t^2); scipy.stats is the oracle
         rng = np.random.default_rng(2024)
         for _ in range(400):
             n = int(rng.integers(3, 60))
@@ -150,8 +162,28 @@ class TestOlsFit:
             noise = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 1)
             fit = ols_fit(xs, rng.uniform(-2, 2) * xs + noise)
             t = fit.beta / fit.se_beta
-            assert fit.p_value_beta == float(2.0 * stats.t.sf(abs(t), n - 2))
-            assert fit.p_value_f == float(stats.f.sf(fit.f_stat, 1, n - 2))
+            assert fit.p_value_f == fit.p_value_beta
+            want = float(2.0 * stats.t.sf(abs(t), n - 2))
+            assert fit.p_value_beta == pytest.approx(want, rel=2e-14, abs=0.0)
+
+    def test_p_values_match_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        from techsub.estimation import t_tail
+
+        rng = np.random.default_rng(88)
+        cases = [
+            (float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, math.log10(300))),
+             int(rng.integers(1, 61)))
+            for _ in range(1000)
+        ]
+        # far tails, down to p of about 1e-300
+        cases += [(t, dof) for dof in (1, 2, 3, 7, 30, 60) for t in (1e3, 1e6, 1e12, 1e50, 1e150)]
+        with mp.workdps(40):
+            for t, dof in cases:
+                want = mpmath_t_tail(mp, t, dof)
+                if want < mp.mpf("1e-300"):
+                    continue
+                assert abs(t_tail(t, dof) / want - 1) <= 1e-14, (t, dof)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=30),
@@ -212,12 +244,17 @@ class TestClassifyRegime:
             assert classify_regime(fit) is Regime.PROPORTIONAL_GROWTH
             assert classify_regime(fit, AbsoluteTolerance(0.0)) is Regime.PROPORTIONAL_GROWTH
 
-    def test_t_test_band_matches_scipy_stats_bitwise(self):
-        for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
-            for n in (3, 4, 5, 10, 31, 56, 200):
-                fit = make_fit(1.3, 0.17, n)
-                t_crit = float(stats.t.ppf(1.0 - alpha / 2.0, n - 2))
-                assert TTestTolerance(alpha).tolerance(fit) == t_crit * 0.17
+    def test_t_test_band_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
+                for n in (3, 4, 5, 10, 31, 56, 200):
+                    t_crit = mp.findroot(
+                        lambda t: mpmath_t_tail(mp, t, n - 2) - alpha,
+                        float(stats.t.ppf(1.0 - alpha / 2.0, n - 2)),
+                    )
+                    got = TTestTolerance(alpha).tolerance(make_fit(1.3, 0.17, n))
+                    assert abs(got / (t_crit * mp.mpf(0.17)) - 1) <= 1e-14, (alpha, n)
 
     def test_t_test_policy_depends_on_precision(self):
         # same point estimate, different standard errors

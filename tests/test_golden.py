@@ -2,9 +2,11 @@
 
 Every report (``--no-timestamp``, inputs named by relative path), both
 SVG plots and both noise-free simulate CSVs are compared by sha256 with
-digests recorded before the CLI stopped re-deriving fitted data. A
-refactor that changes any output byte fails here; a deliberate output
-change must update the digest and say why.
+digests recorded before the CLI stopped re-deriving fitted data. The
+three fit reports were re-pinned when the regression moved to math.fsum
+sums and a pure-Python t tail: only float fields moved, in their last
+digits. A refactor that changes any output byte fails here; a deliberate
+output change must update the digest and say why.
 """
 
 import hashlib
@@ -16,10 +18,10 @@ from conftest import write_csv, write_manifest
 GOLDEN = {
     "sim_victim.csv": "8a6a600e9841c8fe49170fec99c6f5328ba39ea9fe2117805d5abd95d9b9f131",
     "sim_killer.csv": "22998c66d44c1bb9b8c9b7c59bcac83719479cc1d9d20a39e1715480e845a364",
-    "fit_ttest.json": "aa48b019dbbf75ddf3ffc6076996dbd6bbf5c631dfeb0a15795740df0358bf7f",
-    "fit_abs.json": "39455ea2ea94e5ea537514f8f75667048791ceedba88dd6dda698a0f3a2cc97d",
+    "fit_ttest.json": "19b737448d48125f3f559d1b4e91f6422e2a9a348f008ad3781bd93818c58d52",
+    "fit_abs.json": "4a12511a8aad2d9e56bff2645b5246e6b0f05bea66d220dfe256a1df86bd3fe0",
     "fit.svg": "0f5abf5ac045b915db7375cbd024e246c1814206eb852ffb220ce6fa66598fc3",
-    "fp.json": "7a414f0d1669a0e3471db8a252846bd7c104d712572f8be6f476c021cdefa3bf",
+    "fp.json": "598cb72b11d6fd15324949a7f96d4d79282b97c5f3bcfb3bea0d94ca50cce969",
     "fp.svg": "8e509a8e960cd027a9335962715d8f8c2353792e5f42ee8e79ccfda9229b80dd",
     "waves.json": "922355116d4227f00cd278f6c4c91dc4796cb3d5ffb0352ea1f01766bfdd7725",
 }
