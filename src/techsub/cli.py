@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import EstimationError, ParseError, ValidationError
@@ -162,7 +161,7 @@ def _wave_entry(events, metrics) -> dict:
         "end_year": events.end_year,
         "in_progress": not events.complete,
         "flag": "" if events.complete else "*",
-        "metrics": None if metrics is None else asdict(metrics),
+        "metrics": None if metrics is None else metrics._asdict(),
     }
 
 

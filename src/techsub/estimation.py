@@ -15,17 +15,14 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from statistics import NormalDist
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EstimationError, ValidationError
 from .growth import LogisticParams, logistic_value
 from .ingest import TimeSeries, align_pair
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """Simple linear regression y = alpha + beta*x with full diagnostics.
 
     se_estimate is the residual standard error; r2_adj penalizes degrees
@@ -57,8 +54,7 @@ class Regime(enum.Enum):
     DEVELOPMENT = "development"
 
 
-@dataclass(frozen=True)
-class TTestTolerance:
+class TTestTolerance(NamedTuple):
     """Proportionality band from a two-sided t test of slope = 1."""
 
     alpha: float = 0.05
@@ -67,8 +63,7 @@ class TTestTolerance:
         return t_critical(self.alpha, fit.n - 2) * fit.se_beta
 
 
-@dataclass(frozen=True)
-class AbsoluteTolerance:
+class AbsoluteTolerance(NamedTuple):
     """Fixed half-width band around slope = 1."""
 
     value: float = 0.05
@@ -80,8 +75,7 @@ class AbsoluteTolerance:
 DEFAULT_TOLERANCE = TTestTolerance()
 
 
-@dataclass(frozen=True)
-class KillerFit:
+class KillerFit(NamedTuple):
     """Result of regressing log killer level on log victim level."""
 
     regression: RegressionFit
@@ -91,8 +85,7 @@ class KillerFit:
     n_dropped: int
 
 
-@dataclass(frozen=True)
-class FisherPryFit:
+class FisherPryFit(NamedTuple):
     """Straight-line fit of the log share odds ln(f/(1-f)) against time."""
 
     slope: float
@@ -182,6 +175,8 @@ def _hill_start(alpha: float, dof: int) -> float:
     d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * n
     y = (d * alpha) ** (2.0 / n)
     if y > 0.05 + a:
+        from statistics import NormalDist
+
         z = NormalDist().inv_cdf(1.0 - 0.5 * alpha)
         y = z * z
         if dof < 5:
@@ -224,8 +219,8 @@ def t_critical(alpha: float, dof: int) -> float:
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
-    Requires n >= 3 (residual degrees of freedom), finite values and
-    non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
+    Requires n >= 3 (residual degrees of freedom), finite values whose
+    sums of squares fit in a float, and non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
     zero p values. Every sum is math.fsum, so the result does not depend
     on summation order. p_value_beta and p_value_f are the same number,
     t_tail of the slope's t statistic, since F = t^2.
@@ -239,15 +234,21 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise EstimationError(f"need at least 3 observations, got {n}")
     if not all(map(math.isfinite, x + y)):
         raise EstimationError("xs and ys must be finite (NaN or infinity found)")
-    x_mean = math.fsum(x) / n
-    y_mean = math.fsum(y) / n
-    dx = [v - x_mean for v in x]
-    dy = [v - y_mean for v in y]
-    sxx = math.fsum([d * d for d in dx])
+    try:
+        x_mean = math.fsum(x) / n
+        y_mean = math.fsum(y) / n
+        dx = [v - x_mean for v in x]
+        dy = [v - y_mean for v in y]
+        sxx = math.fsum([d * d for d in dx])
+        sxy = math.fsum([u * v for u, v in zip(dx, dy)])
+        sst = math.fsum([d * d for d in dy])
+        # x_mean**2, which se_alpha needs, raises OverflowError past about 1.3e154
+        if not all(map(math.isfinite, (sxx, sxy, sst, x_mean**2))):
+            raise OverflowError
+    except (OverflowError, ValueError):  # fsum: a partial sum overflowed, or inf - inf
+        raise EstimationError("sums of squares overflow a float; rescale xs or ys") from None
     if sxx == 0.0:
         raise EstimationError("xs have zero variance, slope undefined")
-    sxy = math.fsum([u * v for u, v in zip(dx, dy)])
-    sst = math.fsum([d * d for d in dy])
 
     beta = sxy / sxx
     alpha = y_mean - beta * x_mean

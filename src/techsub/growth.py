@@ -13,7 +13,7 @@ allometric power law  killer = A * victim**B  with B = b_killer/b_victim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -21,8 +21,7 @@ from .errors import ValidationError
 _EXP_LIMIT = 700.0
 
 
-@dataclass(frozen=True)
-class LogisticParams:
+class LogisticParams(NamedTuple("LogisticParams", [("K", float), ("a", float), ("b", float)])):
     """Parameters (K, a, b) of one logistic growth curve.
 
     K is the carrying capacity (same units as the series), a the
@@ -30,18 +29,18 @@ class LogisticParams:
     The inflection time a/b is where the curve crosses K/2.
     """
 
-    K: float
-    a: float
-    b: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if not (self.K > 0):
-            raise ValidationError(f"carrying capacity K must be > 0, got {self.K}")
-        if self.b == 0:
+    def __new__(cls, K: float, a: float, b: float):
+        if not (K > 0):
+            raise ValidationError(f"carrying capacity K must be > 0, got {K}")
+        if b == 0:
             raise ValidationError("growth rate b must be nonzero")
-        for name in ("K", "a", "b"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in (("K", K), ("a", a), ("b", b)):
+            if not math.isfinite(value):
                 raise ValidationError(f"parameter {name} must be finite")
+        return super().__new__(cls, K, a, b)
 
     @property
     def t_inflection(self) -> float:
@@ -49,8 +48,7 @@ class LogisticParams:
         return self.a / self.b
 
 
-@dataclass(frozen=True)
-class AllometricModel:
+class AllometricModel(NamedTuple("AllometricModel", [("A", float), ("B", float), ("C1", float)])):
     """Power-law relation killer = A * victim**B between two levels.
 
     A is the scale constant, B the growth-coefficient exponent
@@ -58,17 +56,15 @@ class AllometricModel:
     constant exp(b_victim * (t2 - t1)) of the underlying odds identity.
     """
 
-    A: float
-    B: float
-    C1: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if not (self.A > 0 and math.isfinite(self.A)):
-            raise ValidationError(f"scale constant A must be finite and > 0, got {self.A}")
-        if not (self.C1 > 0 and math.isfinite(self.C1)):
-            raise ValidationError(
-                f"coupling constant C1 must be finite and > 0, got {self.C1}"
-            )
+    def __new__(cls, A: float, B: float, C1: float):
+        if not (A > 0 and math.isfinite(A)):
+            raise ValidationError(f"scale constant A must be finite and > 0, got {A}")
+        if not (C1 > 0 and math.isfinite(C1)):
+            raise ValidationError(f"coupling constant C1 must be finite and > 0, got {C1}")
+        return super().__new__(cls, A, B, C1)
 
 
 def logistic_value(params: LogisticParams, t: float) -> float:

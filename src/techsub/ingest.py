@@ -11,35 +11,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 
 CSV_HEADER = "year,value"
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(NamedTuple("TimeSeries", [("name", str), ("unit", str), ("points", tuple)])):
     """Ordered (year, value) observations for one technology measure."""
 
-    name: str
-    unit: str
-    points: tuple[tuple[int, float], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, name: str, unit: str, points: tuple[tuple[int, float], ...]):
         prev = None
-        for year, value in self.points:
+        for year, value in points:
             if prev is not None and year <= prev:
                 raise ValidationError(
-                    f"series {self.name!r}: years must be strictly increasing "
+                    f"series {name!r}: years must be strictly increasing "
                     f"({year} follows {prev})"
                 )
             if not math.isfinite(value):
-                raise ValidationError(
-                    f"series {self.name!r}: non-finite value at year {year}"
-                )
+                raise ValidationError(f"series {name!r}: non-finite value at year {year}")
             prev = year
+        return super().__new__(cls, name, unit, points)
 
     def __len__(self):
         return len(self.points)
@@ -151,8 +148,7 @@ def align_pair(
     return rows
 
 
-@dataclass(frozen=True)
-class SeriesRef:
+class SeriesRef(NamedTuple):
     """Manifest entry pointing at one series file."""
 
     file: str
@@ -161,8 +157,7 @@ class SeriesRef:
     role: str = ""
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
+class DatasetManifest(NamedTuple):
     """Describes a dataset: where its series live and how to use them.
 
     ``killer``/``victim`` name an aligned pair for the log-log regression;
@@ -177,7 +172,7 @@ class DatasetManifest:
     series: tuple[SeriesRef, ...] = ()
     period: tuple[int, int] | None = None
     adjustment: str | None = None
-    base_dir: Path = field(default_factory=Path, compare=False)
+    base_dir: Path = Path()
 
     def resolve(self, ref: SeriesRef) -> TimeSeries:
         series = read_series(self.base_dir / ref.file, name=ref.name, unit=ref.unit)

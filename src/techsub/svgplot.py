@@ -7,14 +7,17 @@ which keeps golden-file and structural tests trivial.
 
 from __future__ import annotations
 
-from html import escape
-
 WIDTH = 640
 HEIGHT = 480
 MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
 MARGIN_TOP = 48
 MARGIN_BOTTOM = 56
+
+
+def _escape(text: str) -> str:
+    """html.escape(text, quote=False), without importing html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -78,7 +81,7 @@ def render_scatter(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
     ]
 
     bottom = MARGIN_TOP + plot_h
@@ -115,12 +118,12 @@ def render_scatter(
 
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{escape(ylabel, quote=False)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{_escape(ylabel)}</text>'
     )
 
     if vline is not None:
@@ -131,7 +134,7 @@ def render_scatter(
         )
         parts.append(
             f'<text x="{_fmt(px(vx) + 4)}" y="{MARGIN_TOP + 14}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="11" fill="gray">{escape(vlabel, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="11" fill="gray">{_escape(vlabel)}</text>'
         )
 
     if line is not None:
@@ -151,7 +154,7 @@ def render_scatter(
     if annotation:
         parts.append(
             f'<text x="{right - 8}" y="{MARGIN_TOP + 16}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13">{escape(annotation, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(annotation)}</text>'
         )
 
     parts.append("</svg>")

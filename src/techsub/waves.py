@@ -10,40 +10,33 @@ still active). The downwave Z - M is the disruption period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import groupby
-from statistics import mean, stdev
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .ingest import TimeSeries, align_pair
 
 
-@dataclass(frozen=True)
-class WaveEvents:
+class WaveEvents(NamedTuple("WaveEvents", [("tech_name", str), ("begin_year", int),
+                                           ("peak_year", int), ("end_year", int | None)])):
     """Anchor years of one technology's life cycle."""
 
-    tech_name: str
-    begin_year: int
-    peak_year: int
-    end_year: int | None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self):
-        if self.begin_year > self.peak_year:
-            raise ValidationError(
-                f"{self.tech_name!r}: begin {self.begin_year} after peak {self.peak_year}"
-            )
-        if self.end_year is not None and self.peak_year > self.end_year:
-            raise ValidationError(
-                f"{self.tech_name!r}: peak {self.peak_year} after end {self.end_year}"
-            )
+    def __new__(cls, tech_name: str, begin_year: int, peak_year: int, end_year: int | None):
+        if begin_year > peak_year:
+            raise ValidationError(f"{tech_name!r}: begin {begin_year} after peak {peak_year}")
+        if end_year is not None and peak_year > end_year:
+            raise ValidationError(f"{tech_name!r}: peak {peak_year} after end {end_year}")
+        return super().__new__(cls, tech_name, begin_year, peak_year, end_year)
 
     @property
     def complete(self) -> bool:
         return self.end_year is not None
 
 
-@dataclass(frozen=True)
-class WaveMetrics:
+class WaveMetrics(NamedTuple):
     """Lengths and phase fractions of one completed wave."""
 
     upwave_years: int
@@ -111,6 +104,8 @@ def _mean_sd(values: list[float | None]) -> tuple[float | None, float | None]:
     values = [float(v) for v in values if v is not None]
     if not values:
         return None, None
+    from statistics import mean, stdev
+
     return mean(values), (stdev(values) if len(values) >= 2 else None)
 
 
@@ -124,13 +119,11 @@ def summarize_waves(
     waves, means for none; fraction statistics skip zero-length cycles.
     """
     return {
-        f.name: _mean_sd([getattr(m, f.name) for m in metrics])
-        for f in fields(WaveMetrics)
+        name: _mean_sd([getattr(m, name) for m in metrics]) for name in WaveMetrics._fields
     }
 
 
-@dataclass(frozen=True)
-class Takeover:
+class Takeover(NamedTuple):
     """First year the new technology's level strictly exceeds the established one."""
 
     year: int
@@ -188,8 +181,7 @@ def _spearman_rho(xs: list[float], ys: list[float]) -> float | None:
     return max(-1.0, min(1.0, rho))
 
 
-@dataclass(frozen=True)
-class IntroGapDiagnostic:
+class IntroGapDiagnostic(NamedTuple):
     """Introduction-gap vs disruption-period pairs with their rank correlation."""
 
     points: tuple[tuple[int, int], ...]

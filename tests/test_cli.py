@@ -230,6 +230,14 @@ class TestExitCodes:
         code, _, _ = run_cli("fisher-pry", shares)
         assert code == 5
 
+    def test_overflowing_years_are_estimation_failure(self, run_cli, tmp_path):
+        years = (10**308, 15 * 10**307, 17 * 10**307)
+        shares = write_csv(tmp_path / "s.csv", zip(years, (0.2, 0.5, 0.8)))
+        code, out, err = run_cli("fisher-pry", shares)
+        assert code == 5
+        assert out == ""
+        assert "estimation error: sums of squares overflow a float" in err
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -577,27 +585,35 @@ class TestSimulate:
 
 
 class TestImportBoundary:
-    """simulate without noise, waves, fit-killer and fisher-pry load
-    neither numpy nor scipy."""
+    """No command loads numpy or scipy unless simulate adds noise. The
+    records, the CLI and the SVG escaping load none of the stdlib modules
+    in HEAVY (added to what the interpreter loaded at start-up); only
+    waves and the t test's normal start import statistics."""
 
+    HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "html")
     SCRIPT = textwrap.dedent(
         """
         import json, sys
-        import techsub
-        loaded = lambda: {
-            "estimation": "techsub.estimation" in sys.modules,
-            "numpy": "numpy" in sys.modules,
-            "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
-        }
-        stages = [loaded()]
+        before = set(sys.modules)
+        def loaded():
+            new = set(sys.modules) - before
+            return {
+                "estimation": "techsub.estimation" in sys.modules,
+                "numpy": "numpy" in sys.modules,
+                "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+                "heavy": sorted(m for m in new if m.split(".")[0] in HEAVY),
+            }
         from techsub.cli import main
+        stages = [loaded()]
         params, manifest, k, v, shares = sys.argv[1:]
         assert main(["simulate", params, "--killer-out", k, "--victim-out", v]) == 0
-        assert main(["waves", manifest, "--no-timestamp"]) == 0
         stages.append(loaded())
-        assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
+        assert main(["fit-killer", k, v, "--regime-tolerance", "abs:0.1", "--no-timestamp"]) == 0
         stages.append(loaded())
         assert main(["fisher-pry", shares, "--no-timestamp"]) == 0
+        stages.append(loaded())
+        assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
+        assert main(["waves", manifest, "--no-timestamp"]) == 0
         stages.append(loaded())
         print(json.dumps(stages))
         """
@@ -616,7 +632,7 @@ class TestImportBoundary:
             [(t, 1.0 / (1.0 + math.exp(-0.4 * (t - 10) + 0.1 * math.sin(t)))) for t in range(21)],
         )
         script = tmp_path / "probe.py"
-        script.write_text(self.SCRIPT)
+        script.write_text(f"HEAVY = {self.HEAVY!r}\n" + self.SCRIPT)
         done = run_python(
             script, params, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
             tmp_path / "v.csv", shares,
@@ -626,6 +642,9 @@ class TestImportBoundary:
         assert stages[0]["estimation"]
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
+        # import, simulate, fit-killer with a fixed band, fisher-pry
+        for loaded in stages[:4]:
+            assert loaded["heavy"] == []
 
     def test_cli_import_leaves_out_the_network_stack(self):
         done = run_python(

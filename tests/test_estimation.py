@@ -6,12 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_series
+from conftest import check_record, make_series
 from techsub.errors import EstimationError, TechsubError, ValidationError
 from techsub.estimation import (
     K_EPSILON,
     K_MAX_FACTOR,
     AbsoluteTolerance,
+    FisherPryFit,
+    KillerFit,
     Regime,
     RegressionFit,
     TTestTolerance,
@@ -71,6 +73,22 @@ def make_fit(beta, se_beta, n):
     )
 
 
+class TestRecords:
+    def test_result_records_are_values(self):
+        regression = check_record(RegressionFit, **make_fit(1.5, 0.1, 10)._asdict())
+        check_record(
+            KillerFit, regression=regression, regime=Regime.DEVELOPMENT,
+            co_movement="direct", years_used=(2000, 2001, 2002), n_dropped=0,
+        )
+        check_record(FisherPryFit, slope=0.5, intercept=-2.0, t_half=4.0, regression=regression)
+        check_record(TTestTolerance, alpha=0.01)
+        check_record(AbsoluteTolerance, value=0.1)
+
+    def test_tolerance_defaults(self):
+        assert TTestTolerance().alpha == 0.05
+        assert AbsoluteTolerance().value == 0.05
+
+
 class TestOlsFit:
     def test_perfect_line(self):
         fit = ols_fit([1, 2, 3], [2, 4, 6])
@@ -95,6 +113,22 @@ class TestOlsFit:
     def test_degenerate_x_rejected(self):
         with pytest.raises(EstimationError, match="zero variance"):
             ols_fit([1, 1, 1], [2, 3, 4])
+
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [
+            # fsum's partial sum overflows
+            ([1e308, 1.5e308, 1.7e308], [1.0, 2.0, 3.5]),
+            # the sums are finite but the squared deviations are not
+            ([1e200, 2e200, 3.5e200], [1.0, 2.0, 3.5]),
+            ([1.0, 2.0, 3.5], [-1e308, 1e308, 1.7e308]),
+            # Sxx is finite but se_alpha's x_mean**2 is not
+            ([1e160, 1.0000001e160, 1.0000003e160], [1.0, 2.0, 3.5]),
+        ],
+    )
+    def test_overflowing_sums_are_estimation_errors(self, xs, ys):
+        with pytest.raises(EstimationError, match="overflow a float"):
+            ols_fit(xs, ys)
 
     def test_too_few_observations(self):
         with pytest.raises(EstimationError, match="at least 3"):

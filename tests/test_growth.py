@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import check_record
 from techsub.errors import ValidationError
 from techsub.growth import (
     AllometricModel,
@@ -15,6 +18,20 @@ capacities = st.floats(min_value=1e-3, max_value=1e9)
 locations = st.floats(min_value=-50.0, max_value=50.0)
 rates = st.floats(min_value=-5.0, max_value=5.0).filter(lambda b: abs(b) >= 1e-3)
 params_st = st.builds(LogisticParams, K=capacities, a=locations, b=rates)
+
+
+class TestRecords:
+    def test_records_are_values(self):
+        check_record(LogisticParams, K=10.0, a=6.0, b=1.5)
+        check_record(AllometricModel, A=2.0, B=1.5, C1=0.5)
+
+    def test_replace_validates(self):
+        p = LogisticParams(K=10.0, a=6.0, b=1.5)
+        assert p._replace(b=-1.5) == LogisticParams(10.0, 6.0, -1.5)
+        with pytest.raises(ValidationError, match="carrying capacity"):
+            p._replace(K=-1.0)
+        with pytest.raises(ValidationError, match="coupling constant"):
+            AllometricModel(A=2.0, B=1.5, C1=0.5)._replace(C1=math.inf)
 
 
 class TestLogisticParams:

@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_series, write_csv, write_manifest
+from pathlib import Path
+
+from conftest import check_record, make_series, write_csv, write_manifest
 from techsub.errors import ParseError, ValidationError
 from techsub.ingest import (
+    DatasetManifest,
+    SeriesRef,
     TimeSeries,
     align_pair,
     load_manifest,
@@ -12,6 +16,35 @@ from techsub.ingest import (
     read_series,
     serialize_series,
 )
+
+
+class TestRecords:
+    def test_records_are_values(self):
+        series = check_record(TimeSeries, name="s", unit="u", points=((2000, 1.0), (2001, 2.5)))
+        ref = check_record(SeriesRef, file="a.csv", name="a", unit="u", role="killer")
+        check_record(
+            DatasetManifest, dataset="d", description="x", killer=ref, victim=ref,
+            series=(ref,), period=(2000, 2001), adjustment="none", base_dir=Path("data"),
+        )
+        assert len(series) == 2
+
+    def test_keyword_defaults(self):
+        assert SeriesRef(file="a.csv") == SeriesRef("a.csv", None, "", "")
+        manifest = DatasetManifest(dataset="d")
+        assert (manifest.description, manifest.killer, manifest.victim) == ("", None, None)
+        assert (manifest.series, manifest.period, manifest.adjustment) == ((), None, None)
+        assert manifest.base_dir == Path()
+
+    def test_len_counts_points(self):
+        series = make_series([(2000, 1.0), (2001, 2.0), (2002, 4.0), (2003, 8.0)])
+        assert len(series) == 4
+        assert len(make_series([])) == 0
+        assert len(series._replace(name="renamed")) == 4
+
+    def test_replace_validates(self):
+        series = make_series([(2000, 1.0), (2001, 2.0)])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            series._replace(points=((2001, 1.0), (2000, 2.0)))
 
 
 class TestParseSeries:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import make_series
+from conftest import check_record, make_series
 from techsub.errors import ValidationError
 from techsub.waves import (
+    IntroGapDiagnostic,
+    Takeover,
     WaveEvents,
+    WaveMetrics,
     extract_wave_events,
     intro_gap_diagnostic,
     summarize_waves,
@@ -36,6 +39,29 @@ def tent_series(name, begin, peak, last_positive, final_zero=True):
 EIGHT_TRACK = tent_series("8-track", 1965, 1978, 1982)
 CASSETTE = tent_series("cassette", 1964, 1990, 2005)
 CD = tent_series("cd", 1983, 2001, 2018)
+
+
+class TestRecords:
+    def test_records_are_values(self):
+        check_record(WaveEvents, tech_name="t", begin_year=2000, peak_year=2005, end_year=None)
+        check_record(
+            WaveMetrics, upwave_years=5, downwave_years=3, cycle_years=8,
+            upwave_fraction=62.5, downwave_fraction=37.5,
+        )
+        check_record(Takeover, year=2001, new_value=3.0, old_value=1.0)
+        check_record(IntroGapDiagnostic, points=((2, 3), (4, 1)), spearman=-1.0)
+
+    def test_replace_validates(self):
+        events = WaveEvents("t", 2000, 2005, None)
+        assert events._replace(end_year=2010).complete
+        with pytest.raises(ValidationError, match="after end"):
+            events._replace(end_year=2001)
+
+    def test_summary_keys_follow_field_order(self):
+        assert list(summarize_waves([])) == list(WaveMetrics._fields) == [
+            "upwave_years", "downwave_years", "cycle_years",
+            "upwave_fraction", "downwave_fraction",
+        ]
 
 
 class TestExtractWaveEvents:
