@@ -62,16 +62,27 @@ def _parse_period(text: str) -> tuple[int, int]:
     return bounds
 
 
+def _finite_float(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad {what} value {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{what} must be finite, got {value}")
+    return value
+
+
+def _parse_threshold(text: str) -> float:
+    return _finite_float(text, "threshold")
+
+
 def _parse_tolerance(text: str):
     if text == "ttest":
         return TTestTolerance()
     if text.startswith("abs:"):
-        try:
-            value = float(text[4:])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}")
-        if not (math.isfinite(value) and value >= 0):
-            raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {value}")
+        value = _finite_float(text[4:], "tolerance")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {value}")
         return AbsoluteTolerance(value)
     raise argparse.ArgumentTypeError(
         f"expected 'ttest' or 'abs:X', got {text!r}"
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_tolerance,
         default=TTestTolerance(),
         metavar="{ttest|abs:X}",
-        help="proportional-growth band: slope t test (default) or fixed |B-1| <= X",
+        help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
     )
     p.set_defaults(func=_cmd_fit_killer)
 
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="JSON manifest listing series in succession order")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_parse_threshold,
         default=0.0,
         metavar="V",
         help="activity threshold: a year counts as alive when value > V (default 0)",

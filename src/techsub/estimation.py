@@ -6,8 +6,10 @@ All logarithms are natural. Non-positive observations are dropped from
 log-space fits (and counted), never clamped.
 
 The regression and its t tail are pure Python: sums are math.fsum, so
-they are correctly rounded and the same on every CPU. numpy is imported
-inside logistic_fit only, and no command loads it to fit a line.
+they are correctly rounded and the same on every CPU. The same t tail
+gives the slope's p-value and the default regime call: B is proportional
+unless the p-value of the t test of B = 1 falls below the level. numpy is
+imported inside logistic_fit only, and no command loads it to fit a line.
 """
 
 from __future__ import annotations
@@ -55,21 +57,23 @@ class Regime(enum.Enum):
 
 
 class TTestTolerance(NamedTuple):
-    """Proportionality band from a two-sided t test of slope = 1."""
+    """Proportional unless a two-sided t test rejects slope = 1 at level alpha."""
 
     alpha: float = 0.05
 
-    def tolerance(self, fit: RegressionFit) -> float:
-        return t_critical(self.alpha, fit.n - 2) * fit.se_beta
+    def proportional(self, fit: RegressionFit) -> bool:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"t test level alpha must lie in (0, 1), got {self.alpha}")
+        return t_tail(_t_ratio(fit.beta - 1.0, fit.se_beta), fit.n - 2) >= self.alpha
 
 
 class AbsoluteTolerance(NamedTuple):
-    """Fixed half-width band around slope = 1."""
+    """Proportional when |slope - 1| is at most value."""
 
     value: float = 0.05
 
-    def tolerance(self, fit: RegressionFit) -> float:
-        return self.value
+    def proportional(self, fit: RegressionFit) -> bool:
+        return abs(fit.beta - 1.0) <= self.value
 
 
 DEFAULT_TOLERANCE = TTestTolerance()
@@ -108,7 +112,7 @@ def _beta_half(dof: int) -> float:
     return beta
 
 
-def t_tail(t: float, dof: int, beta: float | None = None) -> float:
+def t_tail(t: float, dof: int) -> float:
     """Two-sided Student t tail P(|T| >= |t|) on integer dof >= 1.
 
     This is the regularised incomplete beta I_x(dof/2, 1/2) at
@@ -116,7 +120,6 @@ def t_tail(t: float, dof: int, beta: float | None = None) -> float:
     a = dof/2, and for dof 1 at any t, it is one minus the finite sums of
     Abramowitz & Stegun 26.7.3/26.7.4; elsewhere it is the incomplete beta
     continued fraction (Lentz's method) times x^a sqrt(1 - x) / (a B(a, 1/2)).
-    beta, if given, is B(dof/2, 1/2).
     """
     t2 = t * t
     if math.isinf(t2):
@@ -138,8 +141,6 @@ def t_tail(t: float, dof: int, beta: float | None = None) -> float:
             term *= x * (2 * k - 1) / (2 * k)
             total += term
         return 1.0 - abs(t) / math.sqrt(s) * total
-    if beta is None:
-        beta = _beta_half(dof)
     c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
     h = d
     for m in range(1, 10_000):
@@ -158,62 +159,14 @@ def t_tail(t: float, dof: int, beta: float | None = None) -> float:
     # x^a: pow's error is a times x's rounding error; exp's is about
     # a*|ln x| ulp, smaller when x > 1/2
     xa = math.exp(-a * math.log1p(t2 / dof)) if x > 0.5 else x**a
-    return xa * math.sqrt(t2 / s) / (a * beta) * h
+    return xa * math.sqrt(t2 / s) / (a * _beta_half(dof)) * h
 
 
-def _hill_start(alpha: float, dof: int) -> float:
-    """Hill's approximation to t_critical (1970, CACM Algorithm 396);
-    exact for dof 1 and 2."""
-    if dof == 1:
-        return 1.0 / math.tan(0.5 * math.pi * alpha)
-    if dof == 2:
-        return math.sqrt(2.0 / (alpha * (2.0 - alpha)) - 2.0)
-    n = float(dof)
-    a = 1.0 / (n - 0.5)
-    b = 48.0 / (a * a)
-    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * n
-    y = (d * alpha) ** (2.0 / n)
-    if y > 0.05 + a:
-        from statistics import NormalDist
-
-        z = NormalDist().inv_cdf(1.0 - 0.5 * alpha)
-        y = z * z
-        if dof < 5:
-            c += 0.3 * (n - 4.5) * (z + 0.6)
-        c = (((0.05 * d * z - 5.0) * z - 7.0) * z - 2.0) * z + b + c
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * z
-        y = math.expm1(a * y * y)
-    else:
-        y = (
-            (1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
-             + 0.5 / (n + 4.0)) * y - 1.0
-        ) * (n + 1.0) / (n + 2.0) + 1.0 / y
-    return math.sqrt(n * y)
-
-
-def t_critical(alpha: float, dof: int) -> float:
-    """The t > 0 with t_tail(t, dof) == alpha, for 0 < alpha < 1.
-
-    Halley steps on t_tail from _hill_start, until a step is below 1e-6
-    relative; the first two derivatives of the tail are closed-form, so
-    each step costs one tail evaluation. One or two steps are usual.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"t test level alpha must lie in (0, 1), got {alpha}")
-    beta = _beta_half(dof)
-    n = float(dof)
-    t = _hill_start(alpha, dof)
-    for _ in range(20):
-        s = n + t * t
-        # tail' = -2 f(t) and tail'' = 2 f(t) (n + 1) t / s, f the density
-        density = (n / s) ** (0.5 * (n + 1.0)) / (math.sqrt(n) * beta)
-        newton = (t_tail(t, dof, beta) - alpha) / (2.0 * density)
-        step = newton / max(1.0 - newton * (n + 1.0) * t / (2.0 * s), 0.5)
-        t = max(t + step, 0.5 * t)
-        if abs(step) <= 1e-6 * t:
-            break
-    return t
+def _t_ratio(estimate: float, se: float) -> float:
+    """estimate / se; a zero se gives 0 for a zero estimate, else +-inf."""
+    if se > 0.0:
+        return estimate / se
+    return math.copysign(math.inf, estimate) if estimate else 0.0
 
 
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
@@ -261,10 +214,7 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     se_beta = se_estimate / math.sqrt(sxx)
     se_alpha = se_estimate * math.sqrt(1.0 / n + x_mean**2 / sxx)
 
-    if se_beta > 0.0:
-        t_beta = beta / se_beta
-    else:
-        t_beta = math.inf if beta != 0.0 else 0.0
+    t_beta = _t_ratio(beta, se_beta)
     p_value = t_tail(t_beta, dof)
 
     return RegressionFit(
@@ -287,19 +237,16 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
 def classify_regime(fit: RegressionFit, policy=None) -> Regime:
     """Label the estimated growth coefficient B = fit.beta against 1.
 
-    Proportional growth when |beta - 1| falls inside the policy's band
-    (default: two-sided t test at 5%), development when beta exceeds 1 by
-    more than the band, under-development otherwise. The comparison is
-    literal, so a large negative beta still lands in under-development;
-    sign is reported separately as co-movement direction.
+    Proportional growth when the policy calls beta proportional (default:
+    the two-sided t test of beta = 1 has a p-value of at least 5%);
+    otherwise development when beta exceeds 1, under-development when it
+    falls below. The comparison is literal, so a large negative beta still
+    lands in under-development; sign is reported separately as co-movement
+    direction.
     """
-    policy = policy or DEFAULT_TOLERANCE
-    deviation = fit.beta - 1.0
-    if abs(deviation) <= policy.tolerance(fit):
+    if (policy or DEFAULT_TOLERANCE).proportional(fit):
         return Regime.PROPORTIONAL_GROWTH
-    if deviation > 0.0:
-        return Regime.DEVELOPMENT
-    return Regime.UNDER_DEVELOPMENT
+    return Regime.DEVELOPMENT if fit.beta > 1.0 else Regime.UNDER_DEVELOPMENT
 
 
 def killer_fit(

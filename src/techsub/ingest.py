@@ -154,7 +154,6 @@ class SeriesRef(NamedTuple):
     file: str
     name: str | None = None
     unit: str = ""
-    role: str = ""
 
 
 class DatasetManifest(NamedTuple):
@@ -166,7 +165,6 @@ class DatasetManifest(NamedTuple):
     """
 
     dataset: str
-    description: str = ""
     killer: SeriesRef | None = None
     victim: SeriesRef | None = None
     series: tuple[SeriesRef, ...] = ()
@@ -197,7 +195,6 @@ def _series_ref(obj, context: str) -> SeriesRef:
         file=obj["file"],
         name=obj.get("name"),
         unit=str(obj.get("unit", "")),
-        role=str(obj.get("role", "")),
     )
 
 
@@ -258,7 +255,6 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
     return DatasetManifest(
         dataset=dataset,
-        description=str(doc.get("description", "")),
         killer=_series_ref(doc["killer"], "killer") if "killer" in doc else None,
         victim=_series_ref(doc["victim"], "victim") if "victim" in doc else None,
         series=tuple(_series_ref(s, "series") for s in series),

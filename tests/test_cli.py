@@ -328,6 +328,14 @@ class TestWaves:
         assert payload["intro_gaps"]["points"] == []
         assert payload["summary"]["cycle_years"]["sd"] is None
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_usage_error(self, run_cli, capsys, tmp_path, value):
+        manifest = constant_gap_manifest(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("waves", manifest, f"--threshold={value}")
+        assert exc.value.code == 2
+        assert f"threshold must be finite, got {value}" in capsys.readouterr().err
+
     def test_threshold_flag(self, run_cli, tmp_path):
         write_csv(
             tmp_path / "t.csv",
@@ -586,9 +594,9 @@ class TestSimulate:
 
 class TestImportBoundary:
     """No command loads numpy or scipy unless simulate adds noise. The
-    records, the CLI and the SVG escaping load none of the stdlib modules
-    in HEAVY (added to what the interpreter loaded at start-up); only
-    waves and the t test's normal start import statistics."""
+    records, the CLI, the SVG escaping and the t test of B = 1 load none of
+    the stdlib modules in HEAVY (added to what the interpreter loaded at
+    start-up); only waves imports statistics."""
 
     HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "html")
     SCRIPT = textwrap.dedent(
@@ -613,6 +621,7 @@ class TestImportBoundary:
         assert main(["fisher-pry", shares, "--no-timestamp"]) == 0
         stages.append(loaded())
         assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
+        stages.append(loaded())
         assert main(["waves", manifest, "--no-timestamp"]) == 0
         stages.append(loaded())
         print(json.dumps(stages))
@@ -642,8 +651,10 @@ class TestImportBoundary:
         assert stages[0]["estimation"]
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
-        # import, simulate, fit-killer with a fixed band, fisher-pry
-        for loaded in stages[:4]:
+        # import, simulate, fit-killer with a fixed band, fisher-pry,
+        # fit-killer with the default t test
+        assert len(stages) == 6
+        for loaded in stages[:5]:
             assert loaded["heavy"] == []
 
     def test_cli_import_leaves_out_the_network_stack(self):

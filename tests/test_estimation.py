@@ -278,8 +278,12 @@ class TestClassifyRegime:
             assert classify_regime(fit) is Regime.PROPORTIONAL_GROWTH
             assert classify_regime(fit, AbsoluteTolerance(0.0)) is Regime.PROPORTIONAL_GROWTH
 
-    def test_t_test_band_matches_mpmath(self):
+    def test_t_test_decision_matches_mpmath(self):
+        # B just inside / just outside 1 +- t* se, with t* the mpmath root of
+        # the two-sided tail at level alpha
         mp = pytest.importorskip("mpmath")
+        se, margin = mp.mpf(0.17), mp.mpf(1e-12)
+        sides = ((1, Regime.DEVELOPMENT), (-1, Regime.UNDER_DEVELOPMENT))
         with mp.workdps(40):
             for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
                 for n in (3, 4, 5, 10, 31, 56, 200):
@@ -287,8 +291,18 @@ class TestClassifyRegime:
                         lambda t: mpmath_t_tail(mp, t, n - 2) - alpha,
                         float(stats.t.ppf(1.0 - alpha / 2.0, n - 2)),
                     )
-                    got = TTestTolerance(alpha).tolerance(make_fit(1.3, 0.17, n))
-                    assert abs(got / (t_crit * mp.mpf(0.17)) - 1) <= 1e-14, (alpha, n)
+                    for sign, beyond in sides:
+                        for scale, expected in (
+                            (1 - margin, Regime.PROPORTIONAL_GROWTH), (1 + margin, beyond),
+                        ):
+                            beta = float(1 + sign * t_crit * se * scale)
+                            got = classify_regime(make_fit(beta, 0.17, n), TTestTolerance(alpha))
+                            assert got is expected, (alpha, n, sign, scale)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, math.nan])
+    def test_t_test_level_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 1\)"):
+            classify_regime(make_fit(1.3, 0.17, 31), TTestTolerance(alpha))
 
     def test_t_test_policy_depends_on_precision(self):
         # same point estimate, different standard errors

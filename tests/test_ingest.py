@@ -21,17 +21,17 @@ from techsub.ingest import (
 class TestRecords:
     def test_records_are_values(self):
         series = check_record(TimeSeries, name="s", unit="u", points=((2000, 1.0), (2001, 2.5)))
-        ref = check_record(SeriesRef, file="a.csv", name="a", unit="u", role="killer")
+        ref = check_record(SeriesRef, file="a.csv", name="a", unit="u")
         check_record(
-            DatasetManifest, dataset="d", description="x", killer=ref, victim=ref,
+            DatasetManifest, dataset="d", killer=ref, victim=ref,
             series=(ref,), period=(2000, 2001), adjustment="none", base_dir=Path("data"),
         )
         assert len(series) == 2
 
     def test_keyword_defaults(self):
-        assert SeriesRef(file="a.csv") == SeriesRef("a.csv", None, "", "")
+        assert SeriesRef(file="a.csv") == SeriesRef("a.csv", None, "")
         manifest = DatasetManifest(dataset="d")
-        assert (manifest.description, manifest.killer, manifest.victim) == ("", None, None)
+        assert (manifest.killer, manifest.victim) == (None, None)
         assert (manifest.series, manifest.period, manifest.adjustment) == ((), None, None)
         assert manifest.base_dir == Path()
 
