@@ -5,8 +5,8 @@ logistic fitting and the Fisher-Pry share-substitution fit.
 All logarithms are natural. Non-positive observations are dropped from
 log-space fits (and counted), never clamped.
 
-The regression and its t tail are pure Python: sums are math.fsum, so
-they are correctly rounded and the same on every CPU. The same t tail
+The regression and its t tail are pure Python: sums are exact ints, so
+every float it reports but the p values is correctly rounded. The t tail
 gives the slope's p-value and the default regime call: B is proportional
 unless the p-value of the t test of B = 1 falls below the level. numpy is
 imported inside logistic_fit only, and no command loads it to fit a line.
@@ -169,14 +169,33 @@ def _t_ratio(estimate: float, se: float) -> float:
     return math.copysign(math.inf, estimate) if estimate else 0.0
 
 
+def exact_ints(values: Sequence[float]) -> tuple[list[int], int]:
+    """(ints, d) with values[i] == ints[i] / d exactly: every finite float is
+    p / 2^k, so one power of two d serves all and every sum is an exact int."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p / q) correctly rounded, for ints p >= 0 and q > 0.
+
+    The integer root of a radicand of at least 2*53 + 3 bits is rounded to
+    odd, then once to a float (Boldo & Melquiond 2008); OverflowError past
+    the float range."""
+    s = max(0, (110 - p.bit_length() + q.bit_length()) // 2)
+    n, rem = divmod(p << 2 * s, q)
+    r = math.isqrt(n)
+    return (r | (rem > 0 or r * r < n)) / (1 << s)
+
+
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
-    Requires n >= 3 (residual degrees of freedom), finite values whose
-    sums of squares fit in a float, and non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
-    zero p values. Every sum is math.fsum, so the result does not depend
-    on summation order. p_value_beta and p_value_f are the same number,
-    t_tail of the slope's t statistic, since F = t^2.
+    Requires n >= 3 (residual degrees of freedom), finite values and
+    non-degenerate xs. Perfect fits report se_estimate 0, infinite F and
+    zero p values. Sums are exact ints, so every field but the p values is
+    correctly rounded; p_value_beta = p_value_f = t_tail(sqrt(F)), F = t^2.
     """
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]
@@ -187,51 +206,32 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise EstimationError(f"need at least 3 observations, got {n}")
     if not all(map(math.isfinite, x + y)):
         raise EstimationError("xs and ys must be finite (NaN or infinity found)")
-    try:
-        x_mean = math.fsum(x) / n
-        y_mean = math.fsum(y) / n
-        dx = [v - x_mean for v in x]
-        dy = [v - y_mean for v in y]
-        sxx = math.fsum([d * d for d in dx])
-        sxy = math.fsum([u * v for u, v in zip(dx, dy)])
-        sst = math.fsum([d * d for d in dy])
-        # x_mean**2, which se_alpha needs, raises OverflowError past about 1.3e154
-        if not all(map(math.isfinite, (sxx, sxy, sst, x_mean**2))):
-            raise OverflowError
-    except (OverflowError, ValueError):  # fsum: a partial sum overflowed, or inf - inf
-        raise EstimationError("sums of squares overflow a float; rescale xs or ys") from None
-    if sxx == 0.0:
+    (X, dx), (Y, dy) = exact_ints(x), exact_ints(y)
+    sx, sy = sum(X), sum(Y)
+    sxx = sum(u * u for u in X)
+    sxy = sum(u * v for u, v in zip(X, Y))
+    # n dx^2, n dx dy and n dy^2 times the centred sums; SSE = r / (n dy^2 qxx)
+    qxx = n * sxx - sx * sx
+    qxy = n * sxy - sx * sy
+    qyy = n * sum(v * v for v in Y) - sy * sy
+    if qxx == 0:
         raise EstimationError("xs have zero variance, slope undefined")
-
-    beta = sxy / sxx
-    alpha = y_mean - beta * x_mean
-    sse = math.fsum([(v - (alpha + beta * u)) ** 2 for u, v in zip(x, y)])
+    q = qxx * qyy
+    r = q - qxy * qxy
     dof = n - 2
-
-    r2 = 1.0 - sse / sst if sst > 0.0 else 1.0
-    r2_adj = 1.0 - (1.0 - r2) * (n - 1) / dof
-    se_estimate = math.sqrt(sse / dof)
-    se_beta = se_estimate / math.sqrt(sxx)
-    se_alpha = se_estimate * math.sqrt(1.0 / n + x_mean**2 / sxx)
-
-    t_beta = _t_ratio(beta, se_beta)
-    p_value = t_tail(t_beta, dof)
-
-    return RegressionFit(
-        alpha=alpha,
-        beta=beta,
-        se_alpha=se_alpha,
-        se_beta=se_beta,
-        r2=r2,
-        r2_adj=r2_adj,
-        se_estimate=se_estimate,
-        f_stat=t_beta * t_beta,
-        p_value_f=p_value,
-        p_value_beta=p_value,
-        n=n,
-        xs=tuple(x),
-        ys=tuple(y),
-    )
+    try:
+        alpha = (sy * sxx - sx * sxy) / (dy * qxx)
+        beta = qxy * dx / (qxx * dy)
+        se_estimate = sqrt_ratio(r, n * dof * dy * dy * qxx)
+        se_beta = sqrt_ratio(r * dx * dx, dof * (dy * qxx) ** 2)
+        se_alpha = sqrt_ratio(r * sxx, n * dof * (dy * qxx) ** 2)
+        f_stat = qxy * qxy * dof / r if r else (math.inf if qxy else 0.0)
+    except OverflowError:
+        raise EstimationError("a fitted value overflows a float; rescale xs or ys") from None
+    r2, r2_adj = (qxy * qxy / q, (dof * q - (n - 1) * r) / (dof * q)) if q else (1.0, 1.0)
+    p_value = t_tail(math.sqrt(f_stat), dof)
+    return RegressionFit(alpha, beta, se_alpha, se_beta, r2, r2_adj, se_estimate, f_stat,
+                         p_value, p_value, n, tuple(x), tuple(y))
 
 
 def classify_regime(fit: RegressionFit, policy=None) -> Regime:

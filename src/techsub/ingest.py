@@ -188,14 +188,10 @@ class DatasetManifest(NamedTuple):
 def _series_ref(obj, context: str) -> SeriesRef:
     if not isinstance(obj, dict) or "file" not in obj:
         raise ParseError(f"manifest {context} entry must be an object with a 'file' key")
-    for key in ("file", "name"):
+    for key in ("file", "name", "unit"):
         if not isinstance(obj.get(key, ""), str):
             raise ParseError(f"manifest {context} {key!r} must be a string, got {obj[key]!r}")
-    return SeriesRef(
-        file=obj["file"],
-        name=obj.get("name"),
-        unit=str(obj.get("unit", "")),
-    )
+    return SeriesRef(file=obj["file"], name=obj.get("name"), unit=obj.get("unit", ""))
 
 
 def read_json_object(path: str | Path, root: str) -> dict:

@@ -14,6 +14,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ValidationError
+from .estimation import exact_ints, sqrt_ratio
 from .ingest import TimeSeries, align_pair
 
 
@@ -104,9 +105,9 @@ def _mean_sd(values: list[float | None]) -> tuple[float | None, float | None]:
     values = [float(v) for v in values if v is not None]
     if not values:
         return None, None
-    from statistics import mean, stdev
-
-    return mean(values), (stdev(values) if len(values) >= 2 else None)
+    ints, d = exact_ints(values)
+    n, s, s2 = len(ints), sum(ints), sum(v * v for v in ints)
+    return s / (n * d), (sqrt_ratio(n * s2 - s * s, n * (n - 1) * d * d) if n >= 2 else None)
 
 
 def summarize_waves(

@@ -230,13 +230,25 @@ class TestExitCodes:
         code, _, _ = run_cli("fisher-pry", shares)
         assert code == 5
 
-    def test_overflowing_years_are_estimation_failure(self, run_cli, tmp_path):
+    def test_years_near_the_float_limit_fit_exactly(self, run_cli, tmp_path):
+        # the centred sum of squares of these years, about 2.6e615, is no
+        # float, but the exact slope, about 3.7e-308, is
         years = (10**308, 15 * 10**307, 17 * 10**307)
         shares = write_csv(tmp_path / "s.csv", zip(years, (0.2, 0.5, 0.8)))
+        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["slope"] == 3.7323309722458596e-308
+        assert payload["t_half"] == 1.4e308
+
+    def test_f_beyond_the_float_range_is_estimation_failure(self, run_cli, tmp_path):
+        # three years, the first two a year apart and the last 1e300 later,
+        # leave F = t^2 above the largest float
+        shares = write_csv(tmp_path / "s.csv", [(0, 0.5), (1, 0.5), (10**300, 0.7)])
         code, out, err = run_cli("fisher-pry", shares)
         assert code == 5
         assert out == ""
-        assert "estimation error: sums of squares overflow a float" in err
+        assert "estimation error: a fitted value overflows a float" in err
 
 
 class TestFisherPry:
@@ -594,9 +606,9 @@ class TestSimulate:
 
 class TestImportBoundary:
     """No command loads numpy or scipy unless simulate adds noise. The
-    records, the CLI, the SVG escaping and the t test of B = 1 load none of
-    the stdlib modules in HEAVY (added to what the interpreter loaded at
-    start-up); only waves imports statistics."""
+    records, the CLI, the SVG escaping, the t test of B = 1 and the exact
+    regression and wave sums load none of the stdlib modules in HEAVY
+    (added to what the interpreter loaded at start-up), in any command."""
 
     HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "html")
     SCRIPT = textwrap.dedent(
@@ -649,12 +661,11 @@ class TestImportBoundary:
         assert done.returncode == 0, done.stderr
         stages = json.loads(done.stdout.splitlines()[-1])
         assert stages[0]["estimation"]
+        # import, simulate, fit-killer with a fixed band, fisher-pry,
+        # fit-killer with the default t test, waves
+        assert len(stages) == 6
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
-        # import, simulate, fit-killer with a fixed band, fisher-pry,
-        # fit-killer with the default t test
-        assert len(stages) == 6
-        for loaded in stages[:5]:
             assert loaded["heavy"] == []
 
     def test_cli_import_leaves_out_the_network_stack(self):

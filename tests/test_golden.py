@@ -4,8 +4,9 @@ Every report (``--no-timestamp``, inputs named by relative path), both
 SVG plots and both noise-free simulate CSVs are compared by sha256 with
 digests recorded before the CLI stopped re-deriving fitted data. The
 three fit reports were re-pinned when the regression moved to math.fsum
-sums and a pure-Python t tail: only float fields moved, in their last
-digits. A refactor that changes any output byte fails here; a deliberate
+sums and a pure-Python t tail, and again when it moved to exact integer
+sums with correctly rounded results: each time only float fields moved,
+in their last digits. A refactor that changes any output byte fails here; a deliberate
 output change must update the digest and say why.
 """
 
@@ -18,10 +19,10 @@ from conftest import write_csv, write_manifest
 GOLDEN = {
     "sim_victim.csv": "8a6a600e9841c8fe49170fec99c6f5328ba39ea9fe2117805d5abd95d9b9f131",
     "sim_killer.csv": "22998c66d44c1bb9b8c9b7c59bcac83719479cc1d9d20a39e1715480e845a364",
-    "fit_ttest.json": "19b737448d48125f3f559d1b4e91f6422e2a9a348f008ad3781bd93818c58d52",
-    "fit_abs.json": "4a12511a8aad2d9e56bff2645b5246e6b0f05bea66d220dfe256a1df86bd3fe0",
+    "fit_ttest.json": "a5d01537966b3113c5834f0a6061ecfde16a173336033cb9cfae09d96a7ac17f",
+    "fit_abs.json": "14819dcfc9da957c45557286912920932b46c516bc9c8a4cc151ccc8595965fd",
     "fit.svg": "0f5abf5ac045b915db7375cbd024e246c1814206eb852ffb220ce6fa66598fc3",
-    "fp.json": "598cb72b11d6fd15324949a7f96d4d79282b97c5f3bcfb3bea0d94ca50cce969",
+    "fp.json": "d5bbd875fcb1615a5bf4971ece5922f45204757e77c0a490f8c2914fdb654dfb",
     "fp.svg": "8e509a8e960cd027a9335962715d8f8c2353792e5f42ee8e79ccfda9229b80dd",
     "waves.json": "922355116d4227f00cd278f6c4c91dc4796cb3d5ffb0352ea1f01766bfdd7725",
 }

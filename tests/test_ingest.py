@@ -264,6 +264,9 @@ class TestManifest:
             ({"series": [{"file": "a.csv", "name": 5}]}, "'name' must be a string"),
             ({"series": [{"file": 5}]}, "'file' must be a string"),
             ({"killer": {"file": ["k.csv"]}}, "'file' must be a string"),
+            ({"series": [{"file": "a.csv", "unit": None}]}, "'unit' must be a string"),
+            ({"victim": {"file": "v.csv", "unit": ["x"]}}, "'unit' must be a string"),
+            ({"series": [{"file": "a.csv", "unit": 3}]}, "'unit' must be a string"),
         ],
     )
     def test_mistyped_fields_rejected(self, tmp_path, doc, message):
