@@ -30,8 +30,7 @@ from .ingest import (
 from .reporting import (
     VERSION,
     build_report,
-    fisher_pry_payload,
-    killer_fit_payload,
+    fit_payload,
     regime_narrative,
     render_report,
 )
@@ -109,7 +108,7 @@ def _cmd_fit_killer(args) -> int:
     report = build_report(
         command="fit-killer",
         dataset=f"{killer.name} (killer) vs {victim.name} (victim)",
-        payload=killer_fit_payload(fit),
+        payload=fit_payload("log(killer) = alpha + B*log(victim)", fit),
         inputs=[args.killer_csv, args.victim_csv],
         narrative=regime_narrative(fit),
         warnings=warnings,
@@ -139,7 +138,7 @@ def _cmd_fisher_pry(args) -> int:
     report = build_report(
         command="fisher-pry",
         dataset=shares.name,
-        payload=fisher_pry_payload(fit),
+        payload=fit_payload("ln(f/(1-f)) = intercept + slope*year", fit),
         inputs=[args.shares_csv],
         narrative=(
             f"Fitted share odds double every {math.log(2) / abs(fit.slope):.2f} "
@@ -289,8 +288,7 @@ def _sim_series(
     params = LogisticParams(K=K, a=a, b=b)
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
-        noise = rng.standard_normal(len(values))
-        values = [v * math.exp(sigma * e) for v, e in zip(values, noise)]
+        values = [v * math.exp(sigma * rng.gauss(0.0, 1.0)) for v in values]
     return TimeSeries(name=name, unit=unit, points=tuple(zip(years, values))), params
 
 
@@ -323,9 +321,9 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = None
     if sigma > 0.0:
-        import numpy as np
+        import random
 
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
 
     victim, victim_params = _sim_series(doc["victim"], "victim", years, sigma, rng)
     killer, killer_params = _sim_series(doc["killer"], "killer", years, sigma, rng)

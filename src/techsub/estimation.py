@@ -31,11 +31,13 @@ class RegressionFit(NamedTuple):
     of freedom; f_stat equals the squared slope t statistic (simple
     regression identity), so the F test and the two-sided slope t test on
     n - 2 degrees of freedom have one p value, stored in both p fields.
+    The field order is the report's key order; xs and ys are not reported.
     """
 
+    n: int
     alpha: float
-    beta: float
     se_alpha: float
+    beta: float
     se_beta: float
     r2: float
     r2_adj: float
@@ -43,13 +45,13 @@ class RegressionFit(NamedTuple):
     f_stat: float
     p_value_f: float
     p_value_beta: float
-    n: int
     xs: tuple[float, ...]
     ys: tuple[float, ...]
 
 
-class Regime(enum.Enum):
-    """How fast the killer technology grows relative to the victim."""
+class Regime(str, enum.Enum):
+    """How fast the killer technology grows relative to the victim. A str
+    enum: each member equals its value, which json.dumps writes."""
 
     UNDER_DEVELOPMENT = "under-development"
     PROPORTIONAL_GROWTH = "proportional-growth"
@@ -230,8 +232,8 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise EstimationError("a fitted value overflows a float; rescale xs or ys") from None
     r2, r2_adj = (qxy * qxy / q, (dof * q - (n - 1) * r) / (dof * q)) if q else (1.0, 1.0)
     p_value = t_tail(math.sqrt(f_stat), dof)
-    return RegressionFit(alpha, beta, se_alpha, se_beta, r2, r2_adj, se_estimate, f_stat,
-                         p_value, p_value, n, tuple(x), tuple(y))
+    return RegressionFit(n, alpha, se_alpha, beta, se_beta, r2, r2_adj, se_estimate, f_stat,
+                         p_value, p_value, tuple(x), tuple(y))
 
 
 def classify_regime(fit: RegressionFit, policy=None) -> Regime:
@@ -380,22 +382,25 @@ def fisher_pry_fit(shares: TimeSeries) -> FisherPryFit:
     """Fit the substitution line ln(f/(1-f)) = intercept + slope*t.
 
     All share values must lie strictly in (0, 1). The half-substitution
-    time t_half = -intercept/slope is where the fitted share crosses 1/2;
-    a zero slope leaves it undefined and raises EstimationError.
+    time t_half = -intercept/slope, where the fitted share crosses 1/2, is
+    one correctly rounded ratio of exact sums. A zero slope, or a year or
+    t_half beyond the float range, raises EstimationError.
     """
     for year, f in shares.points:
         if not (0.0 < f < 1.0):
             raise ValidationError(
                 f"share at year {year} must lie strictly in (0, 1), got {f}"
             )
-    years = [float(y) for y in shares.years]
     logits = [math.log(f / (1.0 - f)) for f in shares.values]
-    regression = ols_fit(years, logits)
-    if regression.beta == 0.0:
-        raise EstimationError("share series has zero trend, t_half undefined")
-    return FisherPryFit(
-        slope=regression.beta,
-        intercept=regression.alpha,
-        t_half=-regression.alpha / regression.beta,
-        regression=regression,
-    )
+    try:
+        regression = ols_fit([float(y) for y in shares.years], logits)
+        if regression.beta == 0.0:
+            raise EstimationError("share series has zero trend, t_half undefined")
+        (X, dx), (Y, _) = exact_ints(regression.xs), exact_ints(regression.ys)
+        sx, sy = sum(X), sum(Y)
+        sxy = sum(u * v for u, v in zip(X, Y))
+        # -alpha/beta from ols_fit's exact sums, with dy cancelled
+        t_half = (sx * sxy - sy * sum(u * u for u in X)) / (dx * (len(X) * sxy - sx * sy))
+    except OverflowError:
+        raise EstimationError("a year or t_half lies beyond the float range") from None
+    return FisherPryFit(regression.beta, regression.alpha, t_half, regression)

@@ -8,7 +8,7 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .estimation import FisherPryFit, KillerFit, Regime, RegressionFit
+from .estimation import FisherPryFit, KillerFit, Regime
 
 TOOL_NAME = "techsub"
 VERSION = "0.1.0"
@@ -29,67 +29,37 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+_REGIME_PHRASES = {
+    Regime.DEVELOPMENT: "exceeds 1: the killer technology grows at a greater "
+    "relative rate than the victim",
+    Regime.PROPORTIONAL_GROWTH: "is indistinguishable from 1: killer and victim "
+    "levels change at a proportional relative rate",
+    Regime.UNDER_DEVELOPMENT: "falls below 1: the killer technology grows at a "
+    "lower relative rate than the victim",
+}
+
+
 def regime_narrative(fit: KillerFit) -> str:
-    beta = fit.regression.beta
-    if fit.regime is Regime.DEVELOPMENT:
-        base = (
-            f"B = {beta:.4g} exceeds 1: the killer technology grows at a "
-            f"greater relative rate than the victim (development regime)."
-        )
-    elif fit.regime is Regime.PROPORTIONAL_GROWTH:
-        base = (
-            f"B = {beta:.4g} is indistinguishable from 1: killer and victim "
-            f"levels change at a proportional relative rate "
-            f"(proportional-growth regime)."
-        )
-    else:
-        base = (
-            f"B = {beta:.4g} falls below 1: the killer technology grows at a "
-            f"lower relative rate than the victim (under-development regime)."
-        )
+    beta, regime = fit.regression.beta, fit.regime
+    text = f"B = {beta:.4g} {_REGIME_PHRASES[regime]} ({regime.value} regime)."
     if fit.co_movement == "inverse":
-        base += (
+        text += (
             " The negative sign means the two levels move in opposite "
             "directions over the period (killer expanding while the victim "
             "contracts, or vice versa)."
         )
-    return base
+    return text
 
 
-def regression_payload(fit: RegressionFit) -> dict:
-    return {
-        "n": fit.n,
-        "alpha": fit.alpha,
-        "se_alpha": fit.se_alpha,
-        "beta": fit.beta,
-        "se_beta": fit.se_beta,
-        "r2": fit.r2,
-        "r2_adj": fit.r2_adj,
-        "se_estimate": fit.se_estimate,
-        "f_stat": fit.f_stat,
-        "p_value_f": fit.p_value_f,
-        "p_value_beta": fit.p_value_beta,
-        "stars_beta": significance_stars(fit.p_value_beta),
-    }
-
-
-def killer_fit_payload(fit: KillerFit) -> dict:
-    payload = {"model": "log(killer) = alpha + B*log(victim)"}
-    payload.update(regression_payload(fit.regression))
-    payload["regime"] = fit.regime.value
-    payload["co_movement"] = fit.co_movement
-    payload["years_used"] = list(fit.years_used)
-    payload["n_dropped"] = fit.n_dropped
-    return payload
-
-
-def fisher_pry_payload(fit: FisherPryFit) -> dict:
-    payload = {"model": "ln(f/(1-f)) = intercept + slope*year"}
-    payload.update(regression_payload(fit.regression))
-    payload["slope"] = fit.slope
-    payload["intercept"] = fit.intercept
-    payload["t_half"] = fit.t_half
-    return payload
+def fit_payload(model: str, fit: KillerFit | FisherPryFit) -> dict:
+    """The report payload of a fit: the model, the regression's fields in
+    record order (without xs and ys) and the slope's stars, then the fit's
+    own fields in record order."""
+    regression = fit.regression._asdict()
+    del regression["xs"], regression["ys"]
+    fields = {k: v for k, v in fit._asdict().items() if k != "regression"}
+    stars = significance_stars(fit.regression.p_value_beta)
+    return {"model": model, **regression, "stars_beta": stars, **fields}
 
 
 def build_report(

@@ -250,6 +250,25 @@ class TestExitCodes:
         assert out == ""
         assert "estimation error: a fitted value overflows a float" in err
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0.5), (1, 0.6), (10**309, 0.7)],
+            # logits near 30 rising by 0.1 over 1e308 years: t_half near -2e310
+            [(t, 1.0 / (1.0 + math.exp(-z)))
+             for t, z in [(0, 29.9), (10**308, 30.0), (17 * 10**307, 30.1)]],
+        ],
+        ids=["year", "t_half"],
+    )
+    def test_year_or_t_half_beyond_the_float_range_is_estimation_failure(
+        self, run_cli, tmp_path, points
+    ):
+        shares = write_csv(tmp_path / "s.csv", points)
+        code, out, err = run_cli("fisher-pry", shares)
+        assert code == 5
+        assert out == ""
+        assert "estimation error: a year or t_half lies beyond the float range" in err
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -605,7 +624,7 @@ class TestSimulate:
 
 
 class TestImportBoundary:
-    """No command loads numpy or scipy unless simulate adds noise. The
+    """No command loads numpy or scipy, simulate with noise included. The
     records, the CLI, the SVG escaping, the t test of B = 1 and the exact
     regression and wave sums load none of the stdlib modules in HEAVY
     (added to what the interpreter loaded at start-up), in any command."""
@@ -625,7 +644,9 @@ class TestImportBoundary:
             }
         from techsub.cli import main
         stages = [loaded()]
-        params, manifest, k, v, shares = sys.argv[1:]
+        params, noisy, manifest, k, v, shares = sys.argv[1:]
+        assert main(["simulate", noisy, "--killer-out", k, "--victim-out", v]) == 0
+        stages.append(loaded())
         assert main(["simulate", params, "--killer-out", k, "--victim-out", v]) == 0
         stages.append(loaded())
         assert main(["fit-killer", k, v, "--regime-tolerance", "abs:0.1", "--no-timestamp"]) == 0
@@ -641,13 +662,16 @@ class TestImportBoundary:
     )
 
     def test_modules_loaded_per_command(self, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({
+        doc = {
             "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
             "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
             "years": {"first": 0, "last": 30},
             "noise_sigma": 0.0,
-        }))
+        }
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        noisy = tmp_path / "noisy.json"
+        noisy.write_text(json.dumps({**doc, "noise_sigma": 0.05, "seed": 7}))
         shares = write_csv(
             tmp_path / "shares.csv",
             [(t, 1.0 / (1.0 + math.exp(-0.4 * (t - 10) + 0.1 * math.sin(t)))) for t in range(21)],
@@ -655,15 +679,15 @@ class TestImportBoundary:
         script = tmp_path / "probe.py"
         script.write_text(f"HEAVY = {self.HEAVY!r}\n" + self.SCRIPT)
         done = run_python(
-            script, params, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
+            script, params, noisy, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
             tmp_path / "v.csv", shares,
         )
         assert done.returncode == 0, done.stderr
         stages = json.loads(done.stdout.splitlines()[-1])
         assert stages[0]["estimation"]
-        # import, simulate, fit-killer with a fixed band, fisher-pry,
-        # fit-killer with the default t test, waves
-        assert len(stages) == 6
+        # import, noisy simulate, noise-free simulate, fit-killer with a
+        # fixed band, fisher-pry, fit-killer with the default t test, waves
+        assert len(stages) == 7
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
             assert loaded["heavy"] == []

@@ -1,12 +1,13 @@
-"""Exactness of the regression and the wave summary against Fraction oracles.
+"""Exactness of the regression, Fisher-Pry t_half and the wave summary
+against Fraction oracles.
 
-Every float field of RegressionFit except the two p-values, and every wave
-mean and SD, must be the float nearest the exact rational (or, for the
-standard errors and SDs, the exact square root), ties to even. The oracles
-here sum in decimal.Decimal at a precision that rounds nothing, take the
-textbook formulas in fractions.Fraction and find each square root by search,
-so they share no code with the integer kernel under test. This module
-imports neither numpy nor scipy and runs on any supported Python.
+Every float field of RegressionFit except the two p-values, t_half, and
+every wave mean and SD, must be the float nearest the exact rational (or,
+for the standard errors and SDs, the exact square root), ties to even. The
+oracles here sum in decimal.Decimal at a precision that rounds nothing,
+take the textbook formulas in fractions.Fraction and find each square root
+by search, so they share no code with the integer kernel under test. This
+module imports neither numpy nor scipy and runs on any supported Python.
 """
 
 import math
@@ -18,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from techsub.errors import EstimationError
-from techsub.estimation import exact_ints, ols_fit, sqrt_ratio
+from techsub.estimation import exact_ints, fisher_pry_fit, ols_fit, sqrt_ratio
+from techsub.ingest import TimeSeries
 from techsub.waves import WaveEvents, WaveMetrics, summarize_waves, wave_metrics
 
 # holds every digit of the sums below; the Inexact trap proves it
@@ -239,3 +241,32 @@ def test_sqrt_ratio_is_correctly_rounded(p, q):
             sqrt_ratio(p, q)
     else:
         assert sqrt_ratio(p, q) == want
+
+
+def share_series(count=2_000, seed=20_190_103):
+    """Seeded logistic share series: runs of 3 to 60 years with a random
+    start, slope and half-substitution year, and noise on the logits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 60)
+        first = rng.randint(1800, 2000)
+        years = sorted(rng.sample(range(first, first + 2 * n), n))
+        slope = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 1.0)
+        mid = rng.uniform(first - 20, first + 2 * n + 20)
+        logits = [max(-30.0, min(30.0, slope * (t - mid) + rng.gauss(0.0, 0.2))) for t in years]
+        yield TimeSeries("s", "", tuple((t, 1.0 / (1.0 + math.exp(-z))) for t, z in zip(years, logits)))
+
+
+def test_t_half_is_correctly_rounded():
+    """t_half is the float nearest -alpha/beta of the exact regression on
+    the fit's own years and logits, not the ratio of the two rounded fields."""
+    for shares in share_series():
+        fit = fisher_pry_fit(shares)
+        xs, ys = fit.regression.xs, fit.regression.ys
+        n = len(xs)
+        x_mean = exact_sum((v,) for v in xs) / n
+        y_mean = exact_sum((v,) for v in ys) / n
+        beta = (exact_sum(zip(xs, ys)) - n * x_mean * y_mean) / (
+            exact_sum((u, u) for u in xs) - n * x_mean * x_mean
+        )
+        assert fit.t_half == float(x_mean - y_mean / beta), shares

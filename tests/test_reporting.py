@@ -3,10 +3,10 @@ import json
 import pytest
 
 from conftest import make_series
-from techsub.estimation import killer_fit
+from techsub.estimation import KillerFit, Regime, killer_fit, ols_fit
 from techsub.reporting import (
     build_report,
-    killer_fit_payload,
+    fit_payload,
     regime_narrative,
     render_report,
     significance_stars,
@@ -46,10 +46,47 @@ class TestNarrative:
         assert inverse_fit.co_movement == "inverse"
 
     def test_payload_carries_regime_and_direction(self, inverse_fit):
-        payload = killer_fit_payload(inverse_fit)
+        payload = fit_payload("log(killer) = alpha + B*log(victim)", inverse_fit)
         assert payload["regime"] == "under-development"
         assert payload["co_movement"] == "inverse"
         assert payload["beta"] < 0
+
+
+INVERSE_NOTE = (
+    " The negative sign means the two levels move in opposite directions over the"
+    " period (killer expanding while the victim contracts, or vice versa)."
+)
+
+
+@pytest.mark.parametrize("co_movement", ["direct", "inverse"])
+@pytest.mark.parametrize(
+    "regime,beta,sentence",
+    [
+        (
+            Regime.DEVELOPMENT, 1.4567,
+            "B = 1.457 exceeds 1: the killer technology grows at a greater relative"
+            " rate than the victim (development regime).",
+        ),
+        (
+            Regime.PROPORTIONAL_GROWTH, 0.98765,
+            "B = 0.9877 is indistinguishable from 1: killer and victim levels change"
+            " at a proportional relative rate (proportional-growth regime).",
+        ),
+        (
+            Regime.UNDER_DEVELOPMENT, -1.28,
+            "B = -1.28 falls below 1: the killer technology grows at a lower relative"
+            " rate than the victim (under-development regime).",
+        ),
+    ],
+    ids=["development", "proportional-growth", "under-development"],
+)
+def test_narrative_full_text(regime, beta, sentence, co_movement):
+    """The narrative is a function of the record alone: B to four
+    significant digits, the regime's sentence, and the inverse note."""
+    regression = ols_fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.5])._replace(beta=beta)
+    fit = KillerFit(regression, regime, co_movement, (2000, 2001, 2002), 0)
+    expected = sentence + (INVERSE_NOTE if co_movement == "inverse" else "")
+    assert regime_narrative(fit) == expected
 
 
 class TestBuildReport:
