@@ -36,6 +36,7 @@ from .reporting import (
 )
 from .svgplot import render_scatter
 from .waves import (
+    Takeover,
     extract_wave_events,
     intro_gap_diagnostic,
     summarize_waves,
@@ -141,8 +142,9 @@ def _cmd_fisher_pry(args) -> int:
         payload=fit_payload("ln(f/(1-f)) = intercept + slope*year", fit),
         inputs=[args.shares_csv],
         narrative=(
-            f"Fitted share odds double every {math.log(2) / abs(fit.slope):.2f} "
-            f"years; half-substitution at year {fit.t_half:.2f}."
+            f"Fitted share odds {'double' if fit.slope > 0 else 'halve'} every "
+            f"{math.log(2) / abs(fit.slope):.2f} years; half-substitution at year "
+            f"{fit.t_half:.2f}."
         ),
         timestamp=not args.no_timestamp,
     )
@@ -163,18 +165,6 @@ def _cmd_fisher_pry(args) -> int:
     return EXIT_OK
 
 
-def _wave_entry(events, metrics) -> dict:
-    return {
-        "name": events.tech_name,
-        "begin_year": events.begin_year,
-        "peak_year": events.peak_year,
-        "end_year": events.end_year,
-        "in_progress": not events.complete,
-        "flag": "" if events.complete else "*",
-        "metrics": None if metrics is None else metrics._asdict(),
-    }
-
-
 def _cmd_waves(args) -> int:
     manifest = load_manifest(args.manifest)
     if not manifest.series:
@@ -183,9 +173,7 @@ def _cmd_waves(args) -> int:
         )
 
     warnings = []
-    processed = []  # (series, events) in manifest order
-    entries = []
-    completed_metrics = []
+    waves = []  # (series, events, metrics or None while in progress), manifest order
     for ref in manifest.series:
         try:
             series = manifest.resolve(ref).restrict(manifest.period)
@@ -193,51 +181,41 @@ def _cmd_waves(args) -> int:
         except (ParseError, ValidationError) as exc:
             warnings.append(f"{ref.file}: {exc}")
             continue
-        metrics = wave_metrics(events) if events.complete else None
-        if metrics is not None:
-            completed_metrics.append(metrics)
-        processed.append((series, events))
-        entries.append(_wave_entry(events, metrics))
-
-    if not processed:
+        waves.append((series, events, wave_metrics(events) if events.complete else None))
+    if not waves:
         raise ValidationError(f"{args.manifest}: no series could be analyzed")
 
-    n_waves = len(completed_metrics)
-    n_excluded = len(processed) - n_waves
+    completed = [metrics for _, _, metrics in waves if metrics is not None]
     takeovers = []
-    gap_pairs = []
-    for (old_series, old_events), (new_series, new_events) in zip(
-        processed, processed[1:]
-    ):
+    for (old, _, _), (new, _, _) in zip(waves, waves[1:]):
         try:
-            crossing = takeover_year(new_series, old_series)
+            crossing = takeover_year(new, old)
         except ValidationError as exc:
             warnings.append(str(exc))
             crossing = None
-        takeovers.append(
-            {
-                "established": old_series.name,
-                "challenger": new_series.name,
-                "year": crossing.year if crossing else None,
-                "challenger_value": crossing.new_value if crossing else None,
-                "established_value": crossing.old_value if crossing else None,
-                "established_share_pct": (
-                    crossing.established_share_pct if crossing else None
-                ),
-            }
-        )
-        if old_events.complete:
-            gap_pairs.append((old_events, new_events))
-    gaps = intro_gap_diagnostic(gap_pairs)
+        fields = crossing._asdict() if crossing else dict.fromkeys(Takeover._fields)
+        takeovers.append({"established": old.name, "challenger": new.name, **fields})
+    gaps = intro_gap_diagnostic(
+        [(a, b) for (_, a, _), (_, b, _) in zip(waves, waves[1:]) if a.complete]
+    )
 
+    n_excluded = len(waves) - len(completed)
     payload = {
-        "technologies": entries,
+        "technologies": [
+            {
+                **events._asdict(),
+                "in_progress": not events.complete,
+                "flag": "" if events.complete else "*",
+                "metrics": None if metrics is None else metrics._asdict(),
+            }
+            for _, events, metrics in waves
+        ],
         "summary": {
-            "n_waves": n_waves,
+            "n_waves": len(completed),
             "n_excluded": n_excluded,
             **{
                 name: {"mean": mu, "sd": sd}
-                for name, (mu, sd) in summarize_waves(completed_metrics).items()
+                for name, (mu, sd) in summarize_waves(completed).items()
             },
         },
         "takeovers": takeovers,
@@ -254,7 +232,7 @@ def _cmd_waves(args) -> int:
         payload=payload,
         inputs=[args.manifest],
         narrative=(
-            f"{n_waves} completed wave(s) summarized, "
+            f"{len(completed)} completed wave(s) summarized, "
             f"{n_excluded} still in progress (flagged '*')."
         ),
         warnings=warnings,

@@ -157,19 +157,12 @@ class SeriesRef(NamedTuple):
 
 
 class DatasetManifest(NamedTuple):
-    """Describes a dataset: where its series live and how to use them.
-
-    ``killer``/``victim`` name an aligned pair for the log-log regression;
-    ``series`` lists technologies in succession order for wave analytics.
-    ``adjustment`` is provenance only (values arrive already adjusted).
-    """
+    """Describes a dataset: its series files, listed in succession order
+    for wave analytics, and an optional period that restricts them."""
 
     dataset: str
-    killer: SeriesRef | None = None
-    victim: SeriesRef | None = None
     series: tuple[SeriesRef, ...] = ()
     period: tuple[int, int] | None = None
-    adjustment: str | None = None
     base_dir: Path = Path()
 
     def resolve(self, ref: SeriesRef) -> TimeSeries:
@@ -185,12 +178,12 @@ class DatasetManifest(NamedTuple):
         return series
 
 
-def _series_ref(obj, context: str) -> SeriesRef:
+def _series_ref(obj) -> SeriesRef:
     if not isinstance(obj, dict) or "file" not in obj:
-        raise ParseError(f"manifest {context} entry must be an object with a 'file' key")
+        raise ParseError("manifest series entry must be an object with a 'file' key")
     for key in ("file", "name", "unit"):
         if not isinstance(obj.get(key, ""), str):
-            raise ParseError(f"manifest {context} {key!r} must be a string, got {obj[key]!r}")
+            raise ParseError(f"manifest series {key!r} must be a string, got {obj[key]!r}")
     return SeriesRef(file=obj["file"], name=obj.get("name"), unit=obj.get("unit", ""))
 
 
@@ -249,12 +242,5 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     series = doc.get("series", [])
     if not isinstance(series, list):
         raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
-    return DatasetManifest(
-        dataset=dataset,
-        killer=_series_ref(doc["killer"], "killer") if "killer" in doc else None,
-        victim=_series_ref(doc["victim"], "victim") if "victim" in doc else None,
-        series=tuple(_series_ref(s, "series") for s in series),
-        period=period,
-        adjustment=doc.get("adjustment"),
-        base_dir=path.parent,
-    )
+    refs = tuple(_series_ref(entry) for entry in series)
+    return DatasetManifest(dataset=dataset, series=refs, period=period, base_dir=path.parent)

@@ -18,19 +18,20 @@ from .estimation import exact_ints, sqrt_ratio
 from .ingest import TimeSeries, align_pair
 
 
-class WaveEvents(NamedTuple("WaveEvents", [("tech_name", str), ("begin_year", int),
+class WaveEvents(NamedTuple("WaveEvents", [("name", str), ("begin_year", int),
                                            ("peak_year", int), ("end_year", int | None)])):
-    """Anchor years of one technology's life cycle."""
+    """Anchor years of one technology's life cycle (the field order is a
+    waves report's key order)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __new__(cls, tech_name: str, begin_year: int, peak_year: int, end_year: int | None):
+    def __new__(cls, name: str, begin_year: int, peak_year: int, end_year: int | None):
         if begin_year > peak_year:
-            raise ValidationError(f"{tech_name!r}: begin {begin_year} after peak {peak_year}")
+            raise ValidationError(f"{name!r}: begin {begin_year} after peak {peak_year}")
         if end_year is not None and peak_year > end_year:
-            raise ValidationError(f"{tech_name!r}: peak {peak_year} after end {end_year}")
-        return super().__new__(cls, tech_name, begin_year, peak_year, end_year)
+            raise ValidationError(f"{name!r}: peak {peak_year} after end {end_year}")
+        return super().__new__(cls, name, begin_year, peak_year, end_year)
 
     @property
     def complete(self) -> bool:
@@ -55,10 +56,14 @@ def extract_wave_events(
     begin is the first year with value above the threshold, peak the year
     of the maximum (earliest on ties), end the last year above the
     threshold. When the final observation itself is above the threshold
-    the technology counts as still in progress and end is absent.
+    the technology counts as still in progress and end is absent. Levels
+    are revenue or usage, so a negative one raises ValidationError.
     """
     if not series.points:
         raise ValidationError(f"series {series.name!r} is empty")
+    for year, value in series.points:
+        if value < 0:
+            raise ValidationError(f"series {series.name!r}: negative level at year {year}")
     active = [(y, v) for y, v in series.points if v > active_threshold]
     if not active:
         raise ValidationError(
@@ -70,19 +75,14 @@ def extract_wave_events(
         end_year = None
     else:
         end_year = active[-1][0]
-    return WaveEvents(
-        tech_name=series.name,
-        begin_year=begin_year,
-        peak_year=peak_year,
-        end_year=end_year,
-    )
+    return WaveEvents(series.name, begin_year, peak_year, end_year)
 
 
 def wave_metrics(events: WaveEvents) -> WaveMetrics:
     """Arithmetic wave lengths M-A, Z-M, Z-A and their percentage split."""
     if events.end_year is None:
         raise ValidationError(
-            f"{events.tech_name!r} is still in progress, wave incomplete"
+            f"{events.name!r} is still in progress, wave incomplete"
         )
     up = events.peak_year - events.begin_year
     down = events.end_year - events.peak_year
@@ -125,23 +125,22 @@ def summarize_waves(
 
 
 class Takeover(NamedTuple):
-    """First year the new technology's level strictly exceeds the established one."""
+    """First year the challenger's level strictly exceeds the established
+    technology's, both levels, and the established technology's share of
+    their total in percent (the field order is a waves report's key order)."""
 
     year: int
-    new_value: float
-    old_value: float
-
-    @property
-    def established_share_pct(self) -> float:
-        """Established technology's share of the pairwise total, in percent."""
-        return 100.0 * self.old_value / (self.old_value + self.new_value)
+    challenger_value: float
+    established_value: float
+    established_share_pct: float
 
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
     """Scan common years for the first strict crossing; None when it never happens."""
     for year, new_value, old_value in align_pair(new_tech, established):
         if new_value > old_value:
-            return Takeover(year=year, new_value=new_value, old_value=old_value)
+            share = 100.0 * old_value / (old_value + new_value)
+            return Takeover(year, new_value, old_value, share)
     return None
 
 
@@ -199,7 +198,7 @@ def intro_gap_diagnostic(
     for established, killer in pairs:
         if established.end_year is None:
             raise ValidationError(
-                f"{established.tech_name!r} has no disruption period yet (in progress)"
+                f"{established.name!r} has no disruption period yet (in progress)"
             )
         gap = abs(killer.begin_year - established.begin_year)
         dp = established.end_year - established.peak_year

@@ -294,6 +294,25 @@ class TestFisherPry:
         assert math.isfinite(payload["slope"])
         assert payload["slope"] > 0
 
+    @pytest.mark.parametrize(
+        "rate, centre, years, narrative",
+        [
+            (1.0, 5, range(0, 11), "Fitted share odds double every 0.69 years; "
+             "half-substitution at year 5.00."),
+            (-0.3, 2000, range(1990, 2011), "Fitted share odds halve every 2.31 years; "
+             "half-substitution at year 2000.00."),
+        ],
+        ids=["rising", "declining"],
+    )
+    def test_narrative_says_whether_the_odds_double_or_halve(
+        self, run_cli, tmp_path, rate, centre, years, narrative
+    ):
+        pts = [(t, 1.0 / (1.0 + math.exp(-rate * (t - centre)))) for t in years]
+        shares = write_csv(tmp_path / "shares.csv", pts)
+        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["narrative"] == narrative
+
     def test_period_restricts_the_series(self, run_cli, tmp_path):
         pts = [(t, 1.0 / (1.0 + math.exp(-(t - 5)))) for t in range(0, 11)]
         shares = write_csv(tmp_path / "shares.csv", pts)
@@ -345,6 +364,19 @@ class TestWaves:
         report = json.loads(out)
         assert any("never exceeds" in w for w in report["warnings"])
         assert len(report["payload"]["technologies"]) == 2
+
+    def test_negative_level_warns_and_skips_the_series(self, run_cli, tmp_path):
+        write_csv(tmp_path / "a.csv", [(2000, 1.0), (2001, 3.0), (2002, -1.0), (2003, 0.0)])
+        write_csv(tmp_path / "b.csv", [(2000, 0.5), (2001, 0.5), (2002, 1.0), (2003, 2.0)])
+        manifest = write_manifest(
+            tmp_path / "m.json", {"series": [{"file": "a.csv"}, {"file": "b.csv"}]}
+        )
+        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["warnings"] == ["a.csv: series 'a': negative level at year 2002"]
+        assert [t["name"] for t in report["payload"]["technologies"]] == ["b"]
+        assert report["payload"]["takeovers"] == []
 
     def test_single_technology(self, run_cli, tmp_path):
         write_csv(tmp_path / "only.csv", [(2000, 1.0), (2001, 2.0), (2002, 0.0)])

@@ -23,17 +23,15 @@ class TestRecords:
         series = check_record(TimeSeries, name="s", unit="u", points=((2000, 1.0), (2001, 2.5)))
         ref = check_record(SeriesRef, file="a.csv", name="a", unit="u")
         check_record(
-            DatasetManifest, dataset="d", killer=ref, victim=ref,
-            series=(ref,), period=(2000, 2001), adjustment="none", base_dir=Path("data"),
+            DatasetManifest, dataset="d", series=(ref,), period=(2000, 2001),
+            base_dir=Path("data"),
         )
         assert len(series) == 2
 
     def test_keyword_defaults(self):
         assert SeriesRef(file="a.csv") == SeriesRef("a.csv", None, "")
         manifest = DatasetManifest(dataset="d")
-        assert (manifest.killer, manifest.victim) == (None, None)
-        assert (manifest.series, manifest.period, manifest.adjustment) == ((), None, None)
-        assert manifest.base_dir == Path()
+        assert (manifest.series, manifest.period, manifest.base_dir) == ((), None, Path())
 
     def test_len_counts_points(self):
         series = make_series([(2000, 1.0), (2001, 2.0), (2002, 4.0), (2003, 8.0)])
@@ -197,8 +195,9 @@ class TestAlignPair:
 
 class TestManifest:
     def test_load_pair_manifest(self, tmp_path):
+        """killer, victim and adjustment are read by no command: like
+        description and role, they load and are ignored."""
         write_csv(tmp_path / "k.csv", [(2000, 1.0), (2001, 2.0)])
-        write_csv(tmp_path / "v.csv", [(2000, 5.0), (2001, 4.0)])
         path = write_manifest(
             tmp_path / "m.json",
             {
@@ -206,14 +205,17 @@ class TestManifest:
                 "description": "synthetic pair",
                 "killer": {"file": "k.csv", "role": "killer technology"},
                 "victim": {"file": "v.csv", "role": "victim technology"},
+                "series": [{"file": "k.csv", "role": "killer technology"}],
                 "period": {"first": 2000, "last": 2001},
                 "adjustment": "none",
             },
         )
         manifest = load_manifest(path)
-        assert manifest.dataset == "demo"
-        assert manifest.period == (2000, 2001)
-        killer = manifest.resolve(manifest.killer)
+        assert manifest == DatasetManifest(
+            dataset="demo", series=(SeriesRef("k.csv"),), period=(2000, 2001),
+            base_dir=tmp_path,
+        )
+        killer = manifest.resolve(manifest.series[0])
         assert killer.name == "k"
         assert killer.points == ((2000, 1.0), (2001, 2.0))
 
@@ -263,9 +265,9 @@ class TestManifest:
             ({"dataset": 7}, "'dataset' must be a string"),
             ({"series": [{"file": "a.csv", "name": 5}]}, "'name' must be a string"),
             ({"series": [{"file": 5}]}, "'file' must be a string"),
-            ({"killer": {"file": ["k.csv"]}}, "'file' must be a string"),
+            ({"series": [{"file": "a.csv"}, {"file": ["k.csv"]}]}, "'file' must be a string"),
             ({"series": [{"file": "a.csv", "unit": None}]}, "'unit' must be a string"),
-            ({"victim": {"file": "v.csv", "unit": ["x"]}}, "'unit' must be a string"),
+            ({"series": [{"file": "v.csv", "unit": ["x"]}]}, "'unit' must be a string"),
             ({"series": [{"file": "a.csv", "unit": 3}]}, "'unit' must be a string"),
         ],
     )

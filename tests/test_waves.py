@@ -43,12 +43,15 @@ CD = tent_series("cd", 1983, 2001, 2018)
 
 class TestRecords:
     def test_records_are_values(self):
-        check_record(WaveEvents, tech_name="t", begin_year=2000, peak_year=2005, end_year=None)
+        check_record(WaveEvents, name="t", begin_year=2000, peak_year=2005, end_year=None)
         check_record(
             WaveMetrics, upwave_years=5, downwave_years=3, cycle_years=8,
             upwave_fraction=62.5, downwave_fraction=37.5,
         )
-        check_record(Takeover, year=2001, new_value=3.0, old_value=1.0)
+        check_record(
+            Takeover, year=2001, challenger_value=3.0, established_value=1.0,
+            established_share_pct=25.0,
+        )
         check_record(IntroGapDiagnostic, points=((2, 3), (4, 1)), spearman=-1.0)
 
     def test_replace_validates(self):
@@ -93,6 +96,12 @@ class TestExtractWaveEvents:
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             extract_wave_events(make_series([], "none"))
+
+    @pytest.mark.parametrize("threshold", [0.0, -5.0])
+    def test_negative_level_rejected_with_its_year(self, threshold):
+        series = make_series([(2000, 1.0), (2001, 3.0), (2002, -1.0), (2003, 0.0)], "neg")
+        with pytest.raises(ValidationError, match="'neg': negative level at year 2002"):
+            extract_wave_events(series, threshold)
 
     @given(
         st.lists(st.floats(0, 100), min_size=2, max_size=25),
@@ -186,9 +195,10 @@ class TestTakeoverYear:
         new = make_series([(1, 1.0), (2, 9.0), (3, 12.0), (4, 20.0)], "new")
         crossing = takeover_year(new, old)
         assert crossing.year == 3
-        assert crossing.new_value == 12.0
-        assert crossing.old_value == 8.0
-        assert crossing.established_share_pct == pytest.approx(100 * 8 / 20)
+        assert crossing == Takeover(
+            year=3, challenger_value=12.0, established_value=8.0,
+            established_share_pct=100.0 * 8.0 / 20.0,
+        )
 
     def test_never_crossing_returns_none(self):
         old = make_series([(1, 10.0), (2, 10.0)], "old")
@@ -213,7 +223,7 @@ class TestTakeoverYear:
         if crossing is None:
             assert all(new_vals[i] <= old_vals[i] for i in range(n))
         else:
-            assert crossing.new_value > crossing.old_value
+            assert crossing.challenger_value > crossing.established_value
             for i in range(crossing.year):
                 assert new_vals[i] <= old_vals[i]
 
