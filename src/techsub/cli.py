@@ -314,7 +314,73 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "fit-killer": "log-log OLS of killer level on victim level with regime label",
+    "fisher-pry": "fit the market-share substitution line ln(f/(1-f)) vs year",
+    "waves": "technological-cycle events, disruption periods and summaries",
+    "simulate": "generate exact (optionally noisy) killer/victim logistic series",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    if command == "simulate":
+        p.add_argument("params", help="JSON parameter file (see README for the schema)")
+        p.add_argument("--killer-out", required=True, metavar="PATH")
+        p.add_argument("--victim-out", required=True, metavar="PATH")
+        p.set_defaults(func=_cmd_simulate)
+        return
+    p.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit the timestamp field (byte-identical reruns)",
+    )
+    p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
+    if command == "fit-killer":
+        p.add_argument("killer_csv", help="CSV of the killer technology series")
+        p.add_argument("victim_csv", help="CSV of the victim technology series")
+        p.add_argument(
+            "--period",
+            type=_parse_period,
+            metavar="FIRST:LAST",
+            help="restrict both series to this year range",
+        )
+        p.add_argument("--plot", metavar="PATH", help="write a log-log SVG scatter here")
+        p.add_argument(
+            "--regime-tolerance",
+            type=_parse_tolerance,
+            default=TTestTolerance(),
+            metavar="{ttest|abs:X}",
+            help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
+        )
+        p.set_defaults(func=_cmd_fit_killer)
+    elif command == "fisher-pry":
+        p.add_argument("shares_csv", help="CSV of market shares in (0, 1)")
+        p.add_argument(
+            "--period", type=_parse_period, metavar="FIRST:LAST",
+            help="restrict the series to this year range",
+        )
+        p.add_argument("--plot", metavar="PATH", help="write the substitution SVG here")
+        p.set_defaults(func=_cmd_fisher_pry)
+    else:
+        p.add_argument("manifest", help="JSON manifest listing series in succession order")
+        p.add_argument(
+            "--threshold",
+            type=_parse_threshold,
+            default=0.0,
+            metavar="V",
+            help="activity threshold: a year counts as alive when value > V (default 0)",
+        )
+        p.set_defaults(func=_cmd_waves)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command in COMMANDS; for anything else the full
+    parser (``--help``, ``--version``, and the errors for no or an unknown
+    command), whose subparsers are built from the same pieces."""
+    if command in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"techsub {command}")
+        _add_arguments(parser, command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="techsub",
         description=(
@@ -324,82 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"techsub {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common_report = argparse.ArgumentParser(add_help=False)
-    common_report.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp field (byte-identical reruns)",
-    )
-    common_report.add_argument(
-        "--output", metavar="PATH", help="write the report here instead of stdout"
-    )
-
-    p = sub.add_parser(
-        "fit-killer",
-        parents=[common_report],
-        help="log-log OLS of killer level on victim level with regime label",
-    )
-    p.add_argument("killer_csv", help="CSV of the killer technology series")
-    p.add_argument("victim_csv", help="CSV of the victim technology series")
-    p.add_argument(
-        "--period",
-        type=_parse_period,
-        metavar="FIRST:LAST",
-        help="restrict both series to this year range",
-    )
-    p.add_argument("--plot", metavar="PATH", help="write a log-log SVG scatter here")
-    p.add_argument(
-        "--regime-tolerance",
-        type=_parse_tolerance,
-        default=TTestTolerance(),
-        metavar="{ttest|abs:X}",
-        help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
-    )
-    p.set_defaults(func=_cmd_fit_killer)
-
-    p = sub.add_parser(
-        "fisher-pry",
-        parents=[common_report],
-        help="fit the market-share substitution line ln(f/(1-f)) vs year",
-    )
-    p.add_argument("shares_csv", help="CSV of market shares in (0, 1)")
-    p.add_argument(
-        "--period", type=_parse_period, metavar="FIRST:LAST",
-        help="restrict the series to this year range",
-    )
-    p.add_argument("--plot", metavar="PATH", help="write the substitution SVG here")
-    p.set_defaults(func=_cmd_fisher_pry)
-
-    p = sub.add_parser(
-        "waves",
-        parents=[common_report],
-        help="technological-cycle events, disruption periods and summaries",
-    )
-    p.add_argument("manifest", help="JSON manifest listing series in succession order")
-    p.add_argument(
-        "--threshold",
-        type=_parse_threshold,
-        default=0.0,
-        metavar="V",
-        help="activity threshold: a year counts as alive when value > V (default 0)",
-    )
-    p.set_defaults(func=_cmd_waves)
-
-    p = sub.add_parser(
-        "simulate",
-        help="generate exact (optionally noisy) killer/victim logistic series",
-    )
-    p.add_argument("params", help="JSON parameter file (see README for the schema)")
-    p.add_argument("--killer-out", required=True, metavar="PATH")
-    p.add_argument("--victim-out", required=True, metavar="PATH")
-    p.set_defaults(func=_cmd_simulate)
+    for name, help_line in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         return args.func(args)
     except ParseError as exc:

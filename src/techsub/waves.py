@@ -136,8 +136,12 @@ class Takeover(NamedTuple):
 
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
-    """Scan common years for the first strict crossing; None when it never happens."""
+    """First strict crossing in common years, or None; rejects a negative level up to it."""
     for year, new_value, old_value in align_pair(new_tech, established):
+        if min(new_value, old_value) < 0:
+            raise ValidationError(
+                f"series {new_tech.name!r} and {established.name!r}: negative level at year {year}"
+            )
         if new_value > old_value:
             share = 100.0 * old_value / (old_value + new_value)
             return Takeover(year, new_value, old_value, share)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -732,3 +733,81 @@ class TestImportBoundary:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestParsers:
+    """main builds only the named command's parser; it must parse and
+    print help exactly as that command's subparser in the full parser."""
+
+    VALID = [
+        ["fit-killer", "k.csv", "v.csv"],
+        ["fit-killer", "k.csv", "v.csv", "--period", "2000:2010", "--plot", "p.svg",
+         "--regime-tolerance", "abs:0.1", "--no-timestamp", "--output", "r.json"],
+        ["fisher-pry", "s.csv"],
+        ["fisher-pry", "s.csv", "--period", "1:5", "--plot", "p.svg", "--no-timestamp"],
+        ["waves", "m.json"],
+        ["waves", "m.json", "--threshold", "2.5", "--output", "r.json"],
+        ["simulate", "p.json", "--killer-out", "k.csv", "--victim-out", "v.csv"],
+    ]
+
+    def test_command_help_matches_the_full_parser(self):
+        from techsub.cli import COMMANDS, build_parser
+
+        full = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert list(full) == list(COMMANDS)
+        for name in COMMANDS:
+            assert build_parser(name).format_help() == full[name].format_help()
+
+    @pytest.mark.parametrize("argv", VALID)
+    def test_namespace_matches_the_full_parser(self, argv):
+        from techsub.cli import build_parser
+
+        full = vars(build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        assert vars(build_parser(argv[0]).parse_args(argv[1:])) == full
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_lists_every_command(self, run_cli, capsys, flag):
+        from techsub.cli import COMMANDS
+
+        with pytest.raises(SystemExit) as exc:
+            run_cli(flag)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: techsub [-h] [--version]")
+        words = " ".join(out.split())  # help lines wrap to the terminal width
+        for name, help_line in COMMANDS.items():
+            assert f"{name} {help_line}" in words
+
+    def test_version(self, run_cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--version")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"techsub {techsub.__version__}\n"
+
+    def test_no_command_is_usage_error(self, run_cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli()
+        assert exc.value.code == 2
+        assert "the following arguments are required: command" in capsys.readouterr().err
+
+    def test_unknown_command_is_usage_error(self, run_cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit-killers", "k.csv", "v.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: techsub [-h] [--version]")
+        assert "invalid choice: 'fit-killers'" in err
+
+    def test_unrecognized_argument_shows_the_command_usage(self, power_law_pair):
+        killer_csv, victim_csv = power_law_pair
+        done = run_python("-m", "techsub.cli", "fit-killer", killer_csv, victim_csv, "--bogus")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage: techsub fit-killer [-h]")
+        assert done.stderr.endswith(
+            "techsub fit-killer: error: unrecognized arguments: --bogus\n"
+        )
+        assert "Traceback" not in done.stderr

@@ -211,6 +211,16 @@ class TestTakeoverYear:
         with pytest.raises(ValidationError, match="share no years"):
             takeover_year(new, old)
 
+    @pytest.mark.parametrize(
+        "established_last",
+        [-3.0, -1.0],  # a share of 150% / a zero sum under the crossing
+    )
+    def test_negative_level_rejected_with_its_year(self, established_last):
+        old = make_series([(1, 1.0), (2, established_last)], "old")
+        new = make_series([(1, 0.5), (2, 1.0)], "new")
+        with pytest.raises(ValidationError, match="negative level at year 2"):
+            takeover_year(new, old)
+
     @given(
         st.lists(st.floats(0, 100), min_size=1, max_size=20),
         st.lists(st.floats(0, 100), min_size=1, max_size=20),
