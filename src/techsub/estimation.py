@@ -291,34 +291,11 @@ def killer_fit(
     )
 
 
-# logistic_fit's search interval for K and the size of each scan
+# logistic_fit's search interval for K and the sizes of its first and later scans
 K_EPSILON = 1e-14
 K_MAX_FACTOR = 50.0
 K_GRID_SIZE = 384
-
-
-def _logit_ols(np, gaps, t, v):
-    """Closed-form (a, b, level SSE / max(v)**2) for each capacity K = max(v) + gap.
-
-    gaps is an array of candidates; each result is an array with one entry
-    per candidate, all computed in one (candidates x n) pass. np is the
-    numpy module, passed in so that the search does not import per scan.
-    """
-    v_max = v.max()
-    K = (v_max + gaps)[:, None]
-    z = np.log((K - v) / v)
-    t_mean = t.mean()
-    z_mean = z.mean(axis=1)
-    dt = t - t_mean
-    b = -((z - z_mean[:, None]) @ dt) / float(dt @ dt)
-    a = z_mean + b * t_mean
-    # residuals at unit scale, so that the SSE neither overflows nor underflows
-    with np.errstate(over="ignore"):
-        pred = (K / v_max) / (
-            1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
-        )
-    resid = v / v_max - pred
-    return a, b, np.einsum("ij,ij->i", resid, resid)
+K_NARROW_SIZE = 32
 
 
 def logistic_fit(series: TimeSeries) -> LogisticParams:
@@ -327,12 +304,16 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     One-dimensional search over the capacity K on
     (max(series)*(1+K_EPSILON), max(series)*K_MAX_FACTOR], over
     ln(K - max) so the sharp minimum near a saturated series stays
-    resolvable: scan K_GRID_SIZE points, narrow to the best point's two
-    neighbours and scan again, until they lie within 1e-12. For each
-    candidate K the remaining parameters come from closed-form OLS on the
-    logit-linearized data ln((K-v)/v) = a - b*t; the objective is the sum
-    of squared level residuals. Rising series give b > 0, declining ones
-    b < 0.
+    resolvable: one scan of K_GRID_SIZE points finds the basin, then
+    scans of K_NARROW_SIZE points between the best point's two
+    neighbours narrow it until they lie within 1e-12 (8 to 10 narrowing
+    scans, at most 704 candidates in all). For each candidate K the
+    remaining parameters come from closed-form OLS on the
+    logit-linearized data ln(K-v) - ln(v) = a - b*t, with every sum over
+    the series alone taken once per fit; the objective is the sum of
+    squared level residuals, scored divided by max(series)**2 so that it
+    neither overflows nor underflows. Rising series give b > 0,
+    declining ones b < 0.
 
     Non-positive observations are dropped; at least 4 must remain and the
     series must not be constant (it has no S-shaped curve to fit). The
@@ -354,18 +335,35 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     v_max = float(v.max())
     if K_EPSILON * v_max < sys.float_info.min or math.isinf(K_MAX_FACTOR * v_max):
         raise EstimationError(f"series maximum {v_max!r} is outside the fittable range")
+    t_mean = t.mean()
+    dt = t - t_mean
+    dt_dt = float(dt @ dt)
+    log_v = np.log(v)
+    log_v_dt = float(log_v @ dt)
+    log_v_mean = log_v.mean()
+    w = v / v_max
     # gap = K - max(series); searched in log space
     lo = math.log(K_EPSILON * v_max)
     hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
+    size = K_GRID_SIZE
     while True:
-        u = np.linspace(lo, hi, K_GRID_SIZE)
+        u = np.linspace(lo, hi, size)
         gaps = np.exp(u)
-        a, b, sse = _logit_ols(np, gaps, t, v)
-        best = int(np.argmin(sse))
+        K = (v_max + gaps)[:, None]
+        log_k_minus_v = np.log(K - v)
+        b = (log_v_dt - log_k_minus_v @ dt) / dt_dt
+        a = log_k_minus_v.mean(axis=1) - log_v_mean + b * t_mean
+        with np.errstate(over="ignore"):
+            pred = (K / v_max) / (
+                1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
+            )
+        resid = w - pred
+        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
         lo = u[max(best - 1, 0)]
-        hi = u[min(best + 1, K_GRID_SIZE - 1)]
+        hi = u[min(best + 1, size - 1)]
         if hi - lo <= 1e-12:
             break
+        size = K_NARROW_SIZE
 
     a, b = float(a[best]), float(b[best])
     if b == 0.0:

@@ -136,15 +136,16 @@ class Takeover(NamedTuple):
 
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
-    """First strict crossing in common years, or None; rejects a negative level up to it."""
+    """First strict crossing in common years, or None; rejects a negative level up to it.
+    The share is one correctly rounded ratio of exact ints, finite at any level."""
     for year, new_value, old_value in align_pair(new_tech, established):
         if min(new_value, old_value) < 0:
             raise ValidationError(
                 f"series {new_tech.name!r} and {established.name!r}: negative level at year {year}"
             )
         if new_value > old_value:
-            share = 100.0 * old_value / (old_value + new_value)
-            return Takeover(year, new_value, old_value, share)
+            (o, n), _ = exact_ints([old_value, new_value])
+            return Takeover(year, new_value, old_value, 100 * o / (o + n))
     return None
 
 

@@ -54,6 +54,63 @@ def brute_force_ols(xs, ys):
     }
 
 
+def six_scan_logistic_fit(series):
+    """Reference: the capacity search as 384-point scans only (six per
+    fit), each candidate scored by its own closed-form OLS on the logits
+    ln((K-v)/v), narrowing to the best point's two neighbours until they
+    lie within 1e-12."""
+    t = np.array(series.years, dtype=float)
+    v = np.array(series.values, dtype=float)
+    v_max = v.max()
+    lo = math.log(K_EPSILON * v_max)
+    hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
+    while True:
+        u = np.linspace(lo, hi, 384)
+        gaps = np.exp(u)
+        K = (v_max + gaps)[:, None]
+        z = np.log((K - v) / v)
+        z_mean = z.mean(axis=1)
+        dt = t - t.mean()
+        b = -((z - z_mean[:, None]) @ dt) / float(dt @ dt)
+        a = z_mean + b * t.mean()
+        with np.errstate(over="ignore"):
+            pred = (K / v_max) / (
+                1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
+            )
+        resid = v / v_max - pred
+        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+        lo, hi = u[max(best - 1, 0)], u[min(best + 1, 383)]
+        if hi - lo <= 1e-12:
+            break
+    return LogisticParams(K=v_max + float(gaps[best]), a=float(a[best]), b=float(b[best]))
+
+
+def stage_series(rng, stage):
+    """(series, truth, noise): a rising series on years 0..n-1, n 15 to 56,
+    K 1 to 1e6, multiplicative noise sigma 0 or up to 0.1. early: the
+    window ends before the inflection; inflection: it lies in the middle
+    half; saturated: the window starts just before it and ends on the
+    plateau."""
+    n = int(rng.integers(15, 57))
+    span = n - 1
+    K = 10 ** rng.uniform(0, 6)
+    noise = (0.0, rng.uniform(0.0, 0.1))[int(rng.integers(2))]
+    if stage == "early":
+        b = rng.uniform(3.0, 10.0) / span
+        t_infl = span + rng.uniform(1.0, 4.0) / b
+    elif stage == "inflection":
+        b = rng.uniform(6.0, 20.0) / span
+        t_infl = rng.uniform(0.25, 0.75) * span
+    else:
+        t_infl = rng.uniform(0.05, 0.25) * span
+        b = rng.uniform(15.0, 45.0) / (span - t_infl)
+        t_infl = max(t_infl, 1.0 / b)
+    truth = LogisticParams(K=K, a=b * t_infl, b=b)
+    eps = noise * rng.standard_normal(n)
+    points = [(t, logistic_value(truth, t) * math.exp(eps[t])) for t in range(n)]
+    return make_series(points), truth, noise
+
+
 def make_fit(beta, se_beta, n):
     """RegressionFit shell for classification tests (only beta, se, n matter)."""
     return RegressionFit(
@@ -505,6 +562,33 @@ class TestLogisticFit:
         pred = K / (1 + np.exp(intercept + slope * t[:, None]))
         grid_best = float(((v[:, None] - pred) ** 2).sum(axis=0).min())
         assert logistic_sse(logistic_fit(series), series) <= (1 + 1e-9) * grid_best
+
+    @pytest.mark.parametrize("stage", ["early", "inflection", "saturated"])
+    def test_no_worse_than_full_scans(self, stage):
+        # 120 seeded series per stage, each also mirrored in time (b < 0);
+        # the truth is recoverable when noise-free with the inflection in
+        # the window and the top level below K * (1 - 1e-14)
+        rng = np.random.default_rng(["early", "inflection", "saturated"].index(stage))
+        for _ in range(120):
+            rising, truth, noise = stage_series(rng, stage)
+            falling = make_series([(-t, v) for t, v in reversed(rising.points)])
+            v_max = max(rising.values)
+            identifiable = (
+                noise == 0.0
+                and 0 <= truth.t_inflection <= rising.years[-1]
+                and v_max < truth.K * (1 - 1e-14)
+            )
+            for series, sign in ((rising, 1.0), (falling, -1.0)):
+                fit, ref = logistic_fit(series), six_scan_logistic_fit(series)
+                assert logistic_sse(fit, series) <= (
+                    logistic_sse(ref, series) * (1 + 1e-6) + 1e-24 * v_max**2
+                ), series
+                assert all(map(math.isfinite, fit)) and fit.K > v_max and ref.K > v_max
+                assert math.copysign(1.0, fit.b) == math.copysign(1.0, ref.b) == sign
+                if identifiable:
+                    assert fit.K == pytest.approx(truth.K, rel=0.005)
+                    assert fit.a == pytest.approx(truth.a, rel=0.005)
+                    assert fit.b == pytest.approx(sign * truth.b, rel=0.005)
 
     def test_parameters_are_python_floats(self):
         truth = LogisticParams(K=100.0, a=5.0, b=0.5)

@@ -1,13 +1,14 @@
-"""Exactness of the regression, Fisher-Pry t_half and the wave summary
-against Fraction oracles.
+"""Exactness of the regression, Fisher-Pry t_half, the wave summary and
+the takeover share against Fraction oracles.
 
-Every float field of RegressionFit except the two p-values, t_half, and
-every wave mean and SD, must be the float nearest the exact rational (or,
-for the standard errors and SDs, the exact square root), ties to even. The
-oracles here sum in decimal.Decimal at a precision that rounds nothing,
-take the textbook formulas in fractions.Fraction and find each square root
-by search, so they share no code with the integer kernel under test. This
-module imports neither numpy nor scipy and runs on any supported Python.
+Every float field of RegressionFit except the two p-values, t_half, the
+takeover share, and every wave mean and SD, must be the float nearest the
+exact rational (or, for the standard errors and SDs, the exact square
+root), ties to even. The oracles here sum in decimal.Decimal at a
+precision that rounds nothing, take the textbook formulas in
+fractions.Fraction and find each square root by search, so they share no
+code with the integer kernel under test. This module imports neither
+numpy nor scipy and runs on any supported Python.
 """
 
 import math
@@ -21,7 +22,7 @@ import pytest
 from techsub.errors import EstimationError
 from techsub.estimation import exact_ints, fisher_pry_fit, ols_fit, sqrt_ratio
 from techsub.ingest import TimeSeries
-from techsub.waves import WaveEvents, WaveMetrics, summarize_waves, wave_metrics
+from techsub.waves import WaveEvents, WaveMetrics, summarize_waves, takeover_year, wave_metrics
 
 # holds every digit of the sums below; the Inexact trap proves it
 EXACT = Context(prec=4000, Emin=-9999, traps=[Inexact])
@@ -270,3 +271,30 @@ def test_t_half_is_correctly_rounded():
             exact_sum((u, u) for u in xs) - n * x_mean * x_mean
         )
         assert fit.t_half == float(x_mean - y_mean / beta), shares
+
+
+def takeover_pairs(count=2_000, seed=20_190_104):
+    """Seeded (established, challenger) levels with 0 <= established <
+    challenger: ordinary levels, levels of any exponent, zero, and levels
+    within a few binades of the largest float."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind < 2:
+            pair = [rng.uniform(0.0, 1e4) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2)]
+        elif kind == 2:
+            pair = [abs(_wide_float(rng)), rng.choice((0.0, abs(_wide_float(rng))))]
+        else:
+            pair = [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(1016, 1024)) for _ in range(2)]
+        old, new = sorted(pair)
+        if old < new:
+            yield old, new
+
+
+def test_takeover_share_is_correctly_rounded():
+    for old, new in takeover_pairs():
+        crossing = takeover_year(
+            TimeSeries("new", "", ((0, new),)), TimeSeries("old", "", ((0, old),))
+        )
+        want = 100 * Fraction(old) / (Fraction(old) + Fraction(new))
+        assert crossing.established_share_pct == float(want), (old, new)

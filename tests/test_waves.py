@@ -212,6 +212,16 @@ class TestTakeoverYear:
             takeover_year(new, old)
 
     @pytest.mark.parametrize(
+        "old_value,new_value,share",
+        # old + new overflows to inf (a NaN share), and 100 * old does (an inf share)
+        [(1.5e308, 1.7e308, 46.875), (2e306, 3e306, 40.0)],
+    )
+    def test_share_is_finite_near_the_float_limit(self, old_value, new_value, share):
+        old = make_series([(1, old_value)], "old")
+        new = make_series([(1, new_value)], "new")
+        assert takeover_year(new, old).established_share_pct == share
+
+    @pytest.mark.parametrize(
         "established_last",
         [-3.0, -1.0],  # a share of 150% / a zero sum under the crossing
     )
