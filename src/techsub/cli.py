@@ -135,6 +135,20 @@ def _cmd_fisher_pry(args) -> int:
     shares = read_series(args.shares_csv)
     shares = shares.restrict(args.period)
     fit = fisher_pry_fit(shares)
+    # rendered first, so a plot that cannot be drawn leaves no report behind
+    try:
+        svg = args.plot and render_scatter(
+            fit.regression.xs,
+            fit.regression.ys,
+            title=f"{shares.name}: share substitution",
+            xlabel="year",
+            ylabel="ln(f / (1 - f))",
+            line=(fit.intercept, fit.slope),
+            annotation=f"slope = {fit.slope:.4f} per year",
+            vline=(fit.t_half, f"t_half = {fit.t_half:.2f}"),
+        )
+    except ValueError as exc:
+        raise EstimationError(f"cannot plot: {exc}") from None
 
     report = build_report(
         command="fisher-pry",
@@ -149,18 +163,7 @@ def _cmd_fisher_pry(args) -> int:
         timestamp=not args.no_timestamp,
     )
     _emit(render_report(report), args.output)
-
-    if args.plot:
-        svg = render_scatter(
-            fit.regression.xs,
-            fit.regression.ys,
-            title=f"{shares.name}: share substitution",
-            xlabel="year",
-            ylabel="ln(f / (1 - f))",
-            line=(fit.intercept, fit.slope),
-            annotation=f"slope = {fit.slope:.4f} per year",
-            vline=(fit.t_half, f"t_half = {fit.t_half:.2f}"),
-        )
+    if svg:
         Path(args.plot).write_text(svg, encoding="utf-8")
     return EXIT_OK
 
@@ -266,7 +269,10 @@ def _sim_series(
     params = LogisticParams(K=K, a=a, b=b)
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
-        values = [v * math.exp(sigma * rng.gauss(0.0, 1.0)) for v in values]
+        try:
+            values = [v * math.exp(sigma * rng.gauss(0.0, 1.0)) for v in values]
+        except OverflowError:
+            raise ValidationError(f"noise_sigma {sigma} draws a noise factor past the float range")
     return TimeSeries(name=name, unit=unit, points=tuple(zip(years, values))), params
 
 

@@ -191,6 +191,14 @@ def sqrt_ratio(p: int, q: int) -> float:
     return (r | (rem > 0 or r * r < n)) / (1 << s)
 
 
+def centred_sums(X: Sequence[int], Y: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(sx, sy, qxx, qxy, qyy) of equal-length int lists: their exact sums and n
+    times their centred sums of squares and products, as qxx = n*sxx - sx^2."""
+    n, sx, sy = len(X), sum(X), sum(Y)
+    return (sx, sy, n * sum(u * u for u in X) - sx * sx,
+            n * sum(u * v for u, v in zip(X, Y)) - sx * sy, n * sum(v * v for v in Y) - sy * sy)
+
+
 def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
@@ -209,24 +217,19 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     if not all(map(math.isfinite, x + y)):
         raise EstimationError("xs and ys must be finite (NaN or infinity found)")
     (X, dx), (Y, dy) = exact_ints(x), exact_ints(y)
-    sx, sy = sum(X), sum(Y)
-    sxx = sum(u * u for u in X)
-    sxy = sum(u * v for u, v in zip(X, Y))
-    # n dx^2, n dx dy and n dy^2 times the centred sums; SSE = r / (n dy^2 qxx)
-    qxx = n * sxx - sx * sx
-    qxy = n * sxy - sx * sy
-    qyy = n * sum(v * v for v in Y) - sy * sy
+    # the q are n dx^2, n dx dy and n dy^2 times the centred sums; SSE = r / (n dy^2 qxx)
+    sx, sy, qxx, qxy, qyy = centred_sums(X, Y)
     if qxx == 0:
         raise EstimationError("xs have zero variance, slope undefined")
     q = qxx * qyy
     r = q - qxy * qxy
     dof = n - 2
     try:
-        alpha = (sy * sxx - sx * sxy) / (dy * qxx)
+        alpha = (sy * qxx - sx * qxy) / (n * dy * qxx)
         beta = qxy * dx / (qxx * dy)
         se_estimate = sqrt_ratio(r, n * dof * dy * dy * qxx)
         se_beta = sqrt_ratio(r * dx * dx, dof * (dy * qxx) ** 2)
-        se_alpha = sqrt_ratio(r * sxx, n * dof * (dy * qxx) ** 2)
+        se_alpha = sqrt_ratio(r * (qxx + sx * sx), dof * (n * dy * qxx) ** 2)
         f_stat = qxy * qxy * dof / r if r else (math.inf if qxy else 0.0)
     except OverflowError:
         raise EstimationError("a fitted value overflows a float; rescale xs or ys") from None
@@ -395,10 +398,9 @@ def fisher_pry_fit(shares: TimeSeries) -> FisherPryFit:
         if regression.beta == 0.0:
             raise EstimationError("share series has zero trend, t_half undefined")
         (X, dx), (Y, _) = exact_ints(regression.xs), exact_ints(regression.ys)
-        sx, sy = sum(X), sum(Y)
-        sxy = sum(u * v for u, v in zip(X, Y))
+        sx, sy, qxx, qxy, _ = centred_sums(X, Y)
         # -alpha/beta from ols_fit's exact sums, with dy cancelled
-        t_half = (sx * sxy - sy * sum(u * u for u in X)) / (dx * (len(X) * sxy - sx * sy))
+        t_half = (sx * qxy - sy * qxx) / (len(X) * dx * qxy)
     except OverflowError:
         raise EstimationError("a year or t_half lies beyond the float range") from None
     return FisherPryFit(regression.beta, regression.alpha, t_half, regression)

@@ -48,7 +48,7 @@ def render_scatter(
     """Render a scatter chart with an optional fitted line y = a + b*x.
 
     ``line`` is (intercept, slope); ``vline`` marks a vertical reference
-    (position, label). Returns the SVG document as text.
+    (position, label). Returns the SVG text; ValueError if an axis span overflows.
     """
     if len(x) != len(y) or not x:
         raise ValueError("x and y must be equal-length, non-empty")
@@ -66,6 +66,8 @@ def render_scatter(
     y_pad = (y_hi - y_lo) * 0.05 or 1.0
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    if not (x_hi - x_lo < float("inf") and y_hi - y_lo < float("inf")):
+        raise ValueError("an axis span lies beyond the float range")
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -14,7 +14,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .estimation import exact_ints, sqrt_ratio
+from .estimation import centred_sums, exact_ints, sqrt_ratio
 from .ingest import TimeSeries, align_pair
 
 
@@ -149,15 +149,15 @@ def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | N
     return None
 
 
-def _average_ranks(values: list[float]) -> list[float]:
-    """1-based ranks, tied values sharing the mean of their positions."""
-    ranks = [0.0] * len(values)
+def _average_ranks(values: list[float]) -> list[int]:
+    """Doubled 1-based ranks, tied values sharing twice the mean of their positions."""
+    ranks = [0] * len(values)
     below = 0
     order = sorted(range(len(values)), key=values.__getitem__)
     for _, tied in groupby(order, key=values.__getitem__):
         tied = list(tied)
         for i in tied:
-            ranks[i] = below + (len(tied) + 1) / 2.0
+            ranks[i] = 2 * below + len(tied) + 1
         below += len(tied)
     return ranks
 
@@ -165,25 +165,13 @@ def _average_ranks(values: list[float]) -> list[float]:
 def _spearman_rho(xs: list[float], ys: list[float]) -> float | None:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
-    None when fewer than two pairs or either side is constant. Ranks are
-    half-integers centred on (n+1)/2, so every sum below is exact; the
-    scaling, square roots and clip follow numpy.corrcoef's order, which
-    makes the result equal to scipy.stats.spearmanr's to the last bit.
+    None when fewer than two pairs or either side is constant. Doubled ranks
+    are ints, so rho is one correctly rounded root of a ratio of exact sums.
     """
-    n = len(xs)
-    if n < 2:
+    _, _, qxx, qxy, qyy = centred_sums(_average_ranks(xs), _average_ranks(ys))
+    if qxx == 0 or qyy == 0:
         return None
-    centre = (n + 1) / 2.0
-    rx = [r - centre for r in _average_ranks(xs)]
-    ry = [r - centre for r in _average_ranks(ys)]
-    scale = 1.0 / (n - 1)
-    sxx = sum(a * a for a in rx) * scale
-    syy = sum(b * b for b in ry) * scale
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    sxy = sum(a * b for a, b in zip(rx, ry)) * scale
-    rho = sxy / math.sqrt(syy) / math.sqrt(sxx)
-    return max(-1.0, min(1.0, rho))
+    return math.copysign(sqrt_ratio(qxy * qxy, qxx * qyy), qxy)
 
 
 class IntroGapDiagnostic(NamedTuple):

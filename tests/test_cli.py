@@ -270,6 +270,19 @@ class TestExitCodes:
         assert out == ""
         assert "estimation error: a year or t_half lies beyond the float range" in err
 
+    def test_plot_whose_axis_span_overflows_is_estimation_failure(self, run_cli, tmp_path):
+        # the years fit, but the plot's year axis would span 2e308, no float;
+        # the report is not written either
+        shares = write_csv(tmp_path / "s.csv", zip((-10**308, 0, 10**308), (0.2, 0.5, 0.8)))
+        report, plot = tmp_path / "report.json", tmp_path / "fp.svg"
+        code, out, err = run_cli("fisher-pry", shares, "--output", report, "--plot", plot)
+        assert code == 5
+        assert out == ""
+        assert err == (
+            "techsub: estimation error: cannot plot: an axis span lies beyond the float range\n"
+        )
+        assert not report.exists() and not plot.exists()
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -645,6 +658,20 @@ class TestSimulate:
         )
         assert got == code
         assert message in err
+
+    def test_overflowing_noise_factor_is_validation_failure_without_traceback(self, tmp_path):
+        # exp(1000 * z) overflows for the first draw z above 0.71
+        params = self.params_file(tmp_path, noise_sigma=1000.0, seed=1)
+        done = run_python(
+            "-m", "techsub.cli", "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert done.returncode == 4
+        assert done.stderr == (
+            "techsub: validation error: noise_sigma 1000.0 draws a noise factor past the float "
+            "range\n"
+        )
+        assert not (tmp_path / "v.csv").exists() and not (tmp_path / "k.csv").exists()
 
     def test_invalid_params_rejected(self, run_cli, tmp_path):
         params = self.params_file(tmp_path, killer={"K": -5.0, "a": 0.0, "b": 1.0})

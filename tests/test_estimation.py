@@ -590,6 +590,17 @@ class TestLogisticFit:
                     assert fit.a == pytest.approx(truth.a, rel=0.005)
                     assert fit.b == pytest.approx(sign * truth.b, rel=0.005)
 
+    @pytest.mark.parametrize("seed", [34, 116, 123, 141, 168, 389])
+    def test_first_scan_finds_the_basin_of_a_multimodal_sse(self, seed):
+        # at 30% noise the level SSE over K has more than one basin: with a
+        # 32-point first scan the search narrows into one at about half the
+        # true K, with an SSE 0.1% to 10% above the best
+        truth = LogisticParams(K=1e4, a=40.0, b=0.8)
+        noise = np.exp(0.3 * np.random.default_rng(seed).standard_normal(51))
+        series = make_series([(t, logistic_value(truth, t) * noise[t]) for t in range(51)])
+        best = logistic_sse(six_scan_logistic_fit(series), series)
+        assert logistic_sse(logistic_fit(series), series) <= (1 + 1e-9) * best
+
     def test_parameters_are_python_floats(self):
         truth = LogisticParams(K=100.0, a=5.0, b=0.5)
         series = make_series([(t, logistic_value(truth, t)) for t in range(21)], "s")

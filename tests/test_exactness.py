@@ -1,14 +1,15 @@
-"""Exactness of the regression, Fisher-Pry t_half, the wave summary and
-the takeover share against Fraction oracles.
+"""Exactness of the regression, Fisher-Pry t_half, the wave summary, the
+takeover share and the introduction-gap rank correlation against Fraction
+oracles.
 
 Every float field of RegressionFit except the two p-values, t_half, the
-takeover share, and every wave mean and SD, must be the float nearest the
-exact rational (or, for the standard errors and SDs, the exact square
-root), ties to even. The oracles here sum in decimal.Decimal at a
-precision that rounds nothing, take the textbook formulas in
-fractions.Fraction and find each square root by search, so they share no
-code with the integer kernel under test. This module imports neither
-numpy nor scipy and runs on any supported Python.
+takeover share, every wave mean and SD, and Spearman's rho must be the
+float nearest the exact rational (or, for the standard errors, SDs and
+rho, the exact square root), ties to even. The oracles here sum in
+decimal.Decimal at a precision that rounds nothing, take the textbook
+formulas in fractions.Fraction and find each square root by search, so
+they share no code with the integer kernel under test. This module
+imports neither numpy nor scipy and runs on any supported Python.
 """
 
 import math
@@ -22,7 +23,9 @@ import pytest
 from techsub.errors import EstimationError
 from techsub.estimation import exact_ints, fisher_pry_fit, ols_fit, sqrt_ratio
 from techsub.ingest import TimeSeries
-from techsub.waves import WaveEvents, WaveMetrics, summarize_waves, takeover_year, wave_metrics
+from techsub.waves import (
+    WaveEvents, WaveMetrics, intro_gap_diagnostic, summarize_waves, takeover_year, wave_metrics,
+)
 
 # holds every digit of the sums below; the Inexact trap proves it
 EXACT = Context(prec=4000, Emin=-9999, traps=[Inexact])
@@ -298,3 +301,51 @@ def test_takeover_share_is_correctly_rounded():
         )
         want = 100 * Fraction(old) / (Fraction(old) + Fraction(new))
         assert crossing.established_share_pct == float(want), (old, new)
+
+
+def rank_sets(count=2_400, seed=20_190_105):
+    """Seeded (gap, disruption) integer pairs, 2 to 40 of them: values from
+    small ranges (many ties) to wide ones, and every tenth set with one
+    side constant."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 40)
+        gap_top, dp_top = rng.choice((1, 2, 5, 20, 1000)), rng.choice((1, 2, 5, 20, 1000))
+        points = [(rng.randint(0, gap_top), rng.randint(0, dp_top)) for _ in range(n)]
+        if i % 20 == 9:
+            points = [(points[0][0], d) for _, d in points]
+        elif i % 20 == 19:
+            points = [(g, points[0][1]) for g, _ in points]
+        yield points
+
+
+def exact_rho(points):
+    """Spearman's rho from the textbook formula: the Pearson correlation of
+    average ranks (the mean of tied positions) as Fractions, the float
+    nearest its exact square root carrying the cross sum's sign; None when
+    a side has zero variance."""
+    n = len(points)
+    ranks = [
+        [sum(u < v for u in side) + Fraction(side.count(v) + 1, 2) for v in side]
+        for side in zip(*points)
+    ]
+    centred = [[r - Fraction(n + 1, 2) for r in side] for side in ranks]
+    sgg, sdd = (sum(r * r for r in side) for side in centred)
+    sgd = sum(a * b for a, b in zip(*centred))
+    if sgg == 0 or sdd == 0:
+        return None
+    return math.copysign(rounded_sqrt(sgd * sgd / (sgg * sdd)), sgd)
+
+
+def test_spearman_rho_is_correctly_rounded():
+    outcomes = []
+    for points in rank_sets():
+        chain = [
+            (WaveEvents("old", 0, 10, 10 + dp), WaveEvents("new", gap, gap, None))
+            for gap, dp in points
+        ]
+        want = exact_rho(points)
+        assert intro_gap_diagnostic(chain).spearman == want, points
+        outcomes.append(want is None)
+    # at least 2,000 values compared, and None for the 240 sets built with a constant side
+    assert outcomes.count(False) >= 2_000 and outcomes.count(True) >= 240
