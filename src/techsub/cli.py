@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .errors import EstimationError, ParseError, ValidationError
 from .estimation import (
@@ -91,7 +90,8 @@ def _parse_tolerance(text: str):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -127,7 +127,7 @@ def _cmd_fit_killer(args) -> int:
             line=(fit.regression.alpha, fit.regression.beta),
             annotation=f"B = {fit.regression.beta:.3f}",
         )
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        _emit(svg, args.plot)
     return EXIT_OK
 
 
@@ -164,7 +164,7 @@ def _cmd_fisher_pry(args) -> int:
     )
     _emit(render_report(report), args.output)
     if svg:
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        _emit(svg, args.plot)
     return EXIT_OK
 
 
@@ -282,7 +282,8 @@ def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:
         f"K={params.K!r}, a={params.a!r}, b={params.b!r}, "
         f"noise_sigma={sigma!r}, seed={seed}\n"
     )
-    Path(path).write_text(comment + serialize_series(series), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(comment + serialize_series(series))
 
 
 def _cmd_simulate(args) -> int:

@@ -207,6 +207,11 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     zero p values. Sums are exact ints, so every field but the p values is
     correctly rounded; p_value_beta = p_value_f = t_tail(sqrt(F)), F = t^2.
     """
+    return _ols(xs, ys)[0]
+
+
+def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[RegressionFit, tuple]:
+    """ols_fit's result and its exact sums (n, dx, sx, sy, qxx, qxy)."""
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]
     n = len(x)
@@ -235,8 +240,9 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
         raise EstimationError("a fitted value overflows a float; rescale xs or ys") from None
     r2, r2_adj = (qxy * qxy / q, (dof * q - (n - 1) * r) / (dof * q)) if q else (1.0, 1.0)
     p_value = t_tail(math.sqrt(f_stat), dof)
-    return RegressionFit(n, alpha, se_alpha, beta, se_beta, r2, r2_adj, se_estimate, f_stat,
-                         p_value, p_value, tuple(x), tuple(y))
+    fit = RegressionFit(n, alpha, se_alpha, beta, se_beta, r2, r2_adj, se_estimate, f_stat,
+                        p_value, p_value, tuple(x), tuple(y))
+    return fit, (n, dx, sx, sy, qxx, qxy)
 
 
 def classify_regime(fit: RegressionFit, policy=None) -> Regime:
@@ -394,13 +400,11 @@ def fisher_pry_fit(shares: TimeSeries) -> FisherPryFit:
             )
     logits = [math.log(f / (1.0 - f)) for f in shares.values]
     try:
-        regression = ols_fit([float(y) for y in shares.years], logits)
+        regression, (n, dx, sx, sy, qxx, qxy) = _ols([float(y) for y in shares.years], logits)
         if regression.beta == 0.0:
             raise EstimationError("share series has zero trend, t_half undefined")
-        (X, dx), (Y, _) = exact_ints(regression.xs), exact_ints(regression.ys)
-        sx, sy, qxx, qxy, _ = centred_sums(X, Y)
-        # -alpha/beta from ols_fit's exact sums, with dy cancelled
-        t_half = (sx * qxy - sy * qxx) / (len(X) * dx * qxy)
+        # -alpha/beta from the regression's exact sums, with dy cancelled
+        t_half = (sx * qxy - sy * qxx) / (n * dx * qxy)
     except OverflowError:
         raise EstimationError("a year or t_half lies beyond the float range") from None
     return FisherPryFit(regression.beta, regression.alpha, t_half, regression)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+import os
 from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -58,12 +58,15 @@ class TimeSeries(NamedTuple("TimeSeries", [("name", str), ("unit", str), ("point
         return TimeSeries(self.name, self.unit, pts)
 
 
-def _ascii_number(text: str, convert):
-    """convert(text), refusing the underscores and non-ASCII digits that
-    int() and float() accept but the CSV format does not."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"not a plain ASCII number: {text!r}")
-    return convert(text)
+def _cell(text: str, convert, what: str, lineno: int):
+    """convert(text.strip()); a ParseError if it has an underscore or non-ASCII character."""
+    number = text.strip()
+    if "_" not in number and number.isascii():
+        try:
+            return convert(number)
+        except ValueError:
+            pass
+    raise ParseError(f"{what}: {text!r}", line=lineno)
 
 
 def parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
@@ -76,42 +79,43 @@ def parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if not header_seen:
             if line != CSV_HEADER:
-                raise ParseError(
-                    f"expected header {CSV_HEADER!r}, got {line!r}", line=lineno
-                )
+                raise ParseError(f"expected header {CSV_HEADER!r}, got {line!r}", line=lineno)
             header_seen = True
             continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise ParseError(
-                f"expected 2 comma-separated fields, got {len(cells)}", line=lineno
-            )
+        # a plain ASCII row goes straight to int() and float(); others cell by cell
         try:
-            year = _ascii_number(cells[0].strip(), int)
+            if "_" in line or not line.isascii():
+                raise ValueError
+            year, _, value = line.partition(",")
+            points.append((int(year), float(value)))
         except ValueError:
-            raise ParseError(f"year is not an integer: {cells[0]!r}", line=lineno)
-        try:
-            value = _ascii_number(cells[1].strip(), float)
-        except ValueError:
-            raise ParseError(f"value is not a number: {cells[1]!r}", line=lineno)
-        points.append((year, value))
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise ParseError(f"expected 2 comma-separated fields, got {len(cells)}", lineno)
+            points.append((_cell(cells[0], int, "year is not an integer", lineno),
+                           _cell(cells[1], float, "value is not a number", lineno)))
     if not header_seen:
         raise ParseError(f"missing header row {CSV_HEADER!r}", line=1)
     return TimeSeries(name=name, unit=unit, points=tuple(points))
 
 
-def read_series(path: str | Path, name: str | None = None, unit: str = "") -> TimeSeries:
-    path = Path(path)
+def _stem(path: str | os.PathLike) -> str:
+    """The base name less its last suffix, of which '.hidden' and 'x.' have none."""
+    name = os.path.basename(path)
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
+def read_series(path: str | os.PathLike, name: str | None = None, unit: str = "") -> TimeSeries:
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return parse_series(f.read(), name=name or _stem(path), unit=unit)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc})")
-    try:
-        return parse_series(text, name=name or path.stem, unit=unit)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}")
 
@@ -163,10 +167,10 @@ class DatasetManifest(NamedTuple):
     dataset: str
     series: tuple[SeriesRef, ...] = ()
     period: tuple[int, int] | None = None
-    base_dir: Path = Path()
+    base_dir: str = ""
 
     def resolve(self, ref: SeriesRef) -> TimeSeries:
-        series = read_series(self.base_dir / ref.file, name=ref.name, unit=ref.unit)
+        series = read_series(os.path.join(self.base_dir, ref.file), name=ref.name, unit=ref.unit)
         if self.period is not None and series.points:
             first, last = self.period
             years = series.years
@@ -187,12 +191,13 @@ def _series_ref(obj) -> SeriesRef:
     return SeriesRef(file=obj["file"], name=obj.get("name"), unit=obj.get("unit", ""))
 
 
-def read_json_object(path: str | Path, root: str) -> dict:
+def read_json_object(path: str | os.PathLike, root: str) -> dict:
     """Parse a UTF-8 JSON file whose root must be an object (root names the
     file in that error). Whatever the decoder or json.loads refuses, any
     ValueError such as a bad byte or an over-long integer, is a ParseError."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            doc = json.loads(f.read())
     except ValueError as exc:
         line = getattr(exc, "lineno", None)
         raise ParseError(f"{path}: invalid JSON ({exc})", line=line)
@@ -219,9 +224,8 @@ def json_number(value, what: str, integer: bool = False):
         raise ParseError(f"{what} is too large for a float")
 
 
-def load_manifest(path: str | Path) -> DatasetManifest:
+def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Load and validate a JSON dataset manifest (schema in the README)."""
-    path = Path(path)
     doc = read_json_object(path, "manifest")
 
     period = None
@@ -236,11 +240,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ValidationError(f"{path}: period first {first} > last {last}")
         period = (first, last)
 
-    dataset = doc.get("dataset", path.stem)
+    dataset = doc.get("dataset", _stem(path))
     if not isinstance(dataset, str):
         raise ParseError(f"{path}: 'dataset' must be a string, got {dataset!r}")
     series = doc.get("series", [])
     if not isinstance(series, list):
         raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
     refs = tuple(_series_ref(entry) for entry in series)
-    return DatasetManifest(dataset=dataset, series=refs, period=period, base_dir=path.parent)
+    return DatasetManifest(dataset, refs, period, os.path.dirname(path))

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
-from pathlib import Path
 
 from .estimation import FisherPryFit, KillerFit, Regime
 
@@ -25,8 +25,9 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def file_digest(path: str | os.PathLike) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 _REGIME_PHRASES = {
@@ -66,7 +67,7 @@ def build_report(
     command: str,
     dataset: str,
     payload: dict,
-    inputs: list[str | Path],
+    inputs: list[str | os.PathLike],
     narrative: str = "",
     warnings: list[str] | None = None,
     timestamp: bool = True,

@@ -61,20 +61,17 @@ def extract_wave_events(
     """
     if not series.points:
         raise ValidationError(f"series {series.name!r} is empty")
-    for year, value in series.points:
-        if value < 0:
-            raise ValidationError(f"series {series.name!r}: negative level at year {year}")
-    active = [(y, v) for y, v in series.points if v > active_threshold]
-    if not active:
-        raise ValidationError(
-            f"series {series.name!r} never exceeds threshold {active_threshold}"
-        )
-    begin_year = active[0][0]
-    peak_year = max(series.points, key=lambda p: (p[1], -p[0]))[0]
-    if series.points[-1][1] > active_threshold:
-        end_year = None
-    else:
-        end_year = active[-1][0]
+    years, values = zip(*series.points)
+    if min(values) < 0:
+        year = next(y for y, v in series.points if v < 0)
+        raise ValidationError(f"series {series.name!r}: negative level at year {year}")
+    peak = max(values)
+    if not peak > active_threshold:
+        raise ValidationError(f"series {series.name!r} never exceeds threshold {active_threshold}")
+    begin_year = next(y for y, v in series.points if v > active_threshold)
+    peak_year = years[values.index(peak)]
+    active_from_end = (y for y, v in reversed(series.points) if v > active_threshold)
+    end_year = None if values[-1] > active_threshold else next(active_from_end)
     return WaveEvents(series.name, begin_year, peak_year, end_year)
 
 
@@ -138,14 +135,17 @@ class Takeover(NamedTuple):
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
     """First strict crossing in common years, or None; rejects a negative level up to it.
     The share is one correctly rounded ratio of exact ints, finite at any level."""
-    for year, new_value, old_value in align_pair(new_tech, established):
-        if min(new_value, old_value) < 0:
+    old_by_year = dict(established.points)
+    common = ((y, v, old_by_year[y]) for y, v in new_tech.points if y in old_by_year)
+    for year, new_value, old_value in common:
+        if new_value < 0 or old_value < 0:
             raise ValidationError(
                 f"series {new_tech.name!r} and {established.name!r}: negative level at year {year}"
             )
         if new_value > old_value:
             (o, n), _ = exact_ints([old_value, new_value])
             return Takeover(year, new_value, old_value, 100 * o / (o + n))
+    align_pair(new_tech, established)  # no crossing: raises if they share no years
     return None
 
 

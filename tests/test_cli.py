@@ -198,6 +198,25 @@ class TestExitCodes:
         assert code == 3
         assert "error" in err
 
+    def test_paths_are_reported_as_written(self, run_cli, tmp_path, monkeypatch):
+        """Messages show a path as it was given, or as the manifest's
+        directory and entry join it: a leading './' stays."""
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli("fit-killer", "./no.csv", "no2.csv")
+        assert code == 3
+        assert err == "techsub: i/o error: [Errno 2] No such file or directory: './no.csv'\n"
+        (tmp_path / "bad.csv").write_text("year,value\nxx,1\n")
+        write_csv(tmp_path / "ok.csv", [(1, 1.0), (2, 2.0), (3, 3.0)])
+        code, _, err = run_cli("fit-killer", "./bad.csv", "ok.csv")
+        assert code == 3
+        assert err == "techsub: parse error: ./bad.csv: line 2: year is not an integer: 'xx'\n"
+        write_manifest(tmp_path / "m.json", {"series": [{"file": "bad.csv"}, {"file": "ok.csv"}]})
+        code, out, _ = run_cli("waves", "./m.json", "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [
+            "bad.csv: ./bad.csv: line 2: year is not an integer: 'xx'"
+        ]
+
     def test_malformed_csv_is_parse_failure(self, run_cli, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("year,value\nxx,1\n")
@@ -687,7 +706,8 @@ class TestImportBoundary:
     """No command loads numpy or scipy, simulate with noise included. The
     records, the CLI, the SVG escaping, the t test of B = 1 and the exact
     regression and wave sums load none of the stdlib modules in HEAVY
-    (added to what the interpreter loaded at start-up), in any command."""
+    (added to what the interpreter loaded at start-up), in any command.
+    Without site (python -S), no command loads pathlib either."""
 
     HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "html")
     SCRIPT = textwrap.dedent(
@@ -701,6 +721,7 @@ class TestImportBoundary:
                 "numpy": "numpy" in sys.modules,
                 "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
                 "heavy": sorted(m for m in new if m.split(".")[0] in HEAVY),
+                "pathlib": "pathlib" in sys.modules,
             }
         from techsub.cli import main
         stages = [loaded()]
@@ -721,7 +742,9 @@ class TestImportBoundary:
         """
     )
 
-    def test_modules_loaded_per_command(self, tmp_path):
+    def probe(self, tmp_path, *flags):
+        """What was loaded after the import and after each command, from a
+        fresh interpreter started with flags."""
         doc = {
             "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
             "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
@@ -739,11 +762,14 @@ class TestImportBoundary:
         script = tmp_path / "probe.py"
         script.write_text(f"HEAVY = {self.HEAVY!r}\n" + self.SCRIPT)
         done = run_python(
-            script, params, noisy, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
+            *flags, script, params, noisy, constant_gap_manifest(tmp_path), tmp_path / "k.csv",
             tmp_path / "v.csv", shares,
         )
         assert done.returncode == 0, done.stderr
-        stages = json.loads(done.stdout.splitlines()[-1])
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_modules_loaded_per_command(self, tmp_path):
+        stages = self.probe(tmp_path)
         assert stages[0]["estimation"]
         # import, noisy simulate, noise-free simulate, fit-killer with a
         # fixed band, fisher-pry, fit-killer with the default t test, waves
@@ -751,6 +777,13 @@ class TestImportBoundary:
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
             assert loaded["heavy"] == []
+
+    def test_no_command_loads_pathlib_without_site(self, tmp_path):
+        """Under -S no .pth file runs, so what is loaded is the package's
+        own doing: files are read, written and digested through open()."""
+        stages = self.probe(tmp_path, "-S")
+        assert len(stages) == 7
+        assert [loaded["pathlib"] for loaded in stages] == [False] * 7
 
     def test_cli_import_leaves_out_the_network_stack(self):
         done = run_python(

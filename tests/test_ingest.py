@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathlib import Path
@@ -7,6 +7,7 @@ from pathlib import Path
 from conftest import check_record, make_series, write_csv, write_manifest
 from techsub.errors import ParseError, ValidationError
 from techsub.ingest import (
+    CSV_HEADER,
     DatasetManifest,
     SeriesRef,
     TimeSeries,
@@ -24,14 +25,14 @@ class TestRecords:
         ref = check_record(SeriesRef, file="a.csv", name="a", unit="u")
         check_record(
             DatasetManifest, dataset="d", series=(ref,), period=(2000, 2001),
-            base_dir=Path("data"),
+            base_dir="data",
         )
         assert len(series) == 2
 
     def test_keyword_defaults(self):
         assert SeriesRef(file="a.csv") == SeriesRef("a.csv", None, "")
         manifest = DatasetManifest(dataset="d")
-        assert (manifest.series, manifest.period, manifest.base_dir) == ((), None, Path())
+        assert (manifest.series, manifest.period, manifest.base_dir) == ((), None, "")
 
     def test_len_counts_points(self):
         series = make_series([(2000, 1.0), (2001, 2.0), (2002, 4.0), (2003, 8.0)])
@@ -145,6 +146,138 @@ class TestUnderscoreProperty:
             parse_series(f"year,value\n{year},{value}")
 
 
+def _ascii_number(text: str, convert):
+    """convert(text), refusing the underscores and non-ASCII digits that
+    int() and float() accept but the CSV format does not."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return convert(text)
+
+
+def reference_parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
+    """parse_series as it was before its single-pass rewrite, kept verbatim
+    as the definition of a valid row and of each error's text and line."""
+    points: list[tuple[int, float]] = []
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ParseError(
+                    f"expected header {CSV_HEADER!r}, got {line!r}", line=lineno
+                )
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ParseError(
+                f"expected 2 comma-separated fields, got {len(cells)}", line=lineno
+            )
+        try:
+            year = _ascii_number(cells[0].strip(), int)
+        except ValueError:
+            raise ParseError(f"year is not an integer: {cells[0]!r}", line=lineno)
+        try:
+            value = _ascii_number(cells[1].strip(), float)
+        except ValueError:
+            raise ParseError(f"value is not a number: {cells[1]!r}", line=lineno)
+        points.append((year, value))
+    if not header_seen:
+        raise ParseError(f"missing header row {CSV_HEADER!r}", line=1)
+    return TimeSeries(name=name, unit=unit, points=tuple(points))
+
+
+def parse_outcome(parse, text):
+    """The series' repr (which shows -0.0 and each year's type), or the
+    exception's type, message and line."""
+    try:
+        return repr(parse(text))
+    except Exception as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+# cells that int() or float() read differently from the CSV format, or that
+# sit near a rule: separators, non-ASCII digits and spaces, signs, padding,
+# non-finite values, and the whitespace str.strip() removes but int() refuses
+edge_cell_st = st.sampled_from([
+    "2000", "1999", "0", "-7", "+5", " 7 ", "\t8", "007", "1_0", "1__0", "_1",
+    "\u0661\u0662", "1\u0662", "\uff15", "\xa05", "5\u2003", "5\x1f", "\x1f", "",
+    " ", "1.5", "-0.0", "1e3", "1E-3", ".5", "5.", "inf", "-inf", "nan", "Infinity",
+    "0x10", "1 2", "1,0", "12a", "one", "#3",
+])
+row_cell_st = st.one_of(edge_cell_st, cell_st, st.text(max_size=6))
+data_row_st = st.one_of(
+    st.tuples(row_cell_st, row_cell_st).map(",".join),
+    st.lists(row_cell_st, min_size=1, max_size=4).map(",".join),  # too few or many fields
+    st.text(max_size=12),
+)
+# a well-formed row, its cells padded with whitespace that str.strip()
+# removes; "YEAR" becomes the row's index plus 1900, so years increase
+pad_st = st.sampled_from(["", "", " ", "\t", "\xa0", "\x1f", "\u3000"])
+good_row_st = st.builds(
+    lambda a, b, value, c, d: f"{a}YEAR{b},{c}{value}{d}",
+    pad_st, pad_st,
+    st.one_of(st.integers(-10**6, 10**6).map(str),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr),
+              st.sampled_from(["+5", "007", ".5", "5.", "1E-3", "-0.0"])),
+    pad_st, pad_st,
+)
+skipped_line_st = st.one_of(
+    st.sampled_from(["", "   ", "\t", "\xa0", "\x1f", "# a_b", "# \u00e9t\u00e9", "  # x",
+                     "#,,,"]),
+    # comments, of _ and non-ASCII text too, that str.splitlines() keeps whole
+    st.text(st.characters(blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            max_size=12).map("#".__add__),
+)
+line_st = st.one_of(
+    good_row_st,
+    good_row_st,
+    good_row_st,
+    data_row_st,
+    skipped_line_st,
+    st.sampled_from([CSV_HEADER, f" {CSV_HEADER} ", "year, value", "Year,Value"]),
+)
+# the header is dropped from some texts, and the line breaks mix several
+# of the separators that str.splitlines() honours
+csv_text_st = st.builds(
+    lambda before, header, after, breaks: "".join(
+        line.replace("YEAR", str(1900 + i)) + brk
+        for i, (line, brk) in enumerate(
+            zip(before + ([CSV_HEADER] if header else []) + after, breaks)
+        )
+    ),
+    st.one_of(*[st.lists(skipped_line_st, max_size=2)] * 3, st.lists(line_st, max_size=2)),
+    st.sampled_from([True, True, True, False]),
+    st.one_of(st.lists(line_st, max_size=10),
+              st.lists(st.one_of(good_row_st, good_row_st, skipped_line_st), max_size=10)),
+    st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1e", "\u2028"]),
+             min_size=13, max_size=13),
+)
+
+
+class TestParseMatchesReference:
+    """parse_series reads every text as the reference does: the same
+    series, or the same exception type, message and line."""
+
+    @settings(max_examples=600)
+    @given(csv_text_st)
+    @example("year,value\n1_0,5\n")
+    @example("year,value\n\u0661\u0662,5\n")
+    @example("year,value\n2000,+5\n2001, 7 \n")
+    @example("year,value\n2000,inf\n")
+    @example("year,value\n2000,nan\n")
+    @example("year,value\n2000,1,2\n")
+    @example("year,value\n2000\n")
+    @example("year,value\n2000,\xa05\n2001,5\x1f\n")  # read, after str.strip()
+    @example("# caf\u00e9_1\n  \t\nyear,value\n2000,1\n")
+    @example("1920,246\n")
+    @example("")
+    def test_same_series_or_same_error(self, text):
+        assert parse_outcome(parse_series, text) == parse_outcome(reference_parse_series, text)
+
+
 class TestSerializeRoundTrip:
     @given(series_st)
     def test_parse_inverts_serialize(self, series):
@@ -213,7 +346,7 @@ class TestManifest:
         manifest = load_manifest(path)
         assert manifest == DatasetManifest(
             dataset="demo", series=(SeriesRef("k.csv"),), period=(2000, 2001),
-            base_dir=tmp_path,
+            base_dir=str(tmp_path),
         )
         killer = manifest.resolve(manifest.series[0])
         assert killer.name == "k"
@@ -288,3 +421,24 @@ class TestManifest:
         )
         with pytest.raises(ValidationError, match="first"):
             load_manifest(path)
+
+
+STEMS = [
+    ("a.b.csv", "a.b"), (".hidden", ".hidden"), ("x.", "x."), ("..a", "."), ("plain", "plain"),
+]
+
+
+class TestNamesFromPaths:
+    """A series without a name, and a manifest without a dataset, are named
+    after their file as pathlib's Path.stem names it."""
+
+    @pytest.mark.parametrize("file, stem", STEMS)
+    def test_series_name_is_the_file_stem(self, tmp_path, file, stem):
+        path = write_csv(tmp_path / file, [(2000, 1.0)])
+        assert path.stem == stem
+        assert read_series(path).name == read_series(str(path)).name == stem
+
+    @pytest.mark.parametrize("file, stem", STEMS)
+    def test_manifest_dataset_is_the_file_stem(self, tmp_path, file, stem):
+        path = write_manifest(tmp_path / file, {"series": []})
+        assert load_manifest(path).dataset == load_manifest(str(path)).dataset == stem

@@ -104,6 +104,19 @@ class TestExtractWaveEvents:
             extract_wave_events(series, threshold)
 
     @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0]), min_size=1, max_size=12),
+        st.sampled_from([-1.0, 0.0, 1.0, 2.5]),
+    )
+    def test_anchor_years_match_their_definition(self, values, threshold):
+        active = [1990 + i for i, v in enumerate(values) if v > threshold]
+        assume(active)
+        events = extract_wave_events(make_series([(1990 + i, v) for i, v in enumerate(values)]),
+                                     threshold)
+        assert events.begin_year == active[0]
+        assert events.peak_year == 1990 + min(i for i, v in enumerate(values) if v == max(values))
+        assert events.end_year == (None if values[-1] > threshold else active[-1])
+
+    @given(
         st.lists(st.floats(0, 100), min_size=2, max_size=25),
         st.floats(0, 50),
         st.floats(0, 50),
@@ -246,6 +259,22 @@ class TestTakeoverYear:
             assert crossing.challenger_value > crossing.established_value
             for i in range(crossing.year):
                 assert new_vals[i] <= old_vals[i]
+
+    @given(
+        st.dictionaries(st.integers(0, 30), st.floats(0, 100), max_size=15),
+        st.dictionaries(st.integers(0, 30), st.floats(0, 100), max_size=15),
+    )
+    def test_crossing_is_first_of_the_common_years(self, old_levels, new_levels):
+        old = make_series(sorted(old_levels.items()), "old")
+        new = make_series(sorted(new_levels.items()), "new")
+        common = sorted(old_levels.keys() & new_levels.keys())
+        if not common:
+            with pytest.raises(ValidationError, match="share no years"):
+                takeover_year(new, old)
+            return
+        first = next((y for y in common if new_levels[y] > old_levels[y]), None)
+        crossing = takeover_year(new, old)
+        assert (crossing.year if crossing else None) == first
 
 
 class TestIntroGapDiagnostic:
