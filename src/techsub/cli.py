@@ -11,7 +11,10 @@ failure, 5 estimation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
+import stat
 import sys
 
 from .errors import EstimationError, ParseError, ValidationError
@@ -88,6 +91,37 @@ def _parse_tolerance(text: str):
     )
 
 
+def _file_key(path: str) -> tuple:
+    """What a write to path replaces: the device and inode of the file
+    there, or of its directory with its name where there is none yet (a
+    symbolic link counts as where it points). Keys are equal where
+    os.path.realpath results are, and for hard links too, at a few stat
+    calls rather than one per path component."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            path = os.path.realpath(path)
+            st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except FileNotFoundError:  # nothing there yet, or a link to nothing
+        head, name = os.path.split(path)
+        st = os.stat(head or ".")
+        return st.st_dev, st.st_ino, name
+
+
+def _distinct_outputs(option_a: str, a: str | None, option_b: str, b: str | None) -> None:
+    """Refuse two outputs that name one file, before any work or write: the
+    second write would replace the first."""
+    if not (a and b):
+        return
+    try:
+        same = _file_key(a) == _file_key(b)
+    except OSError:  # a path that cannot be written fails when it is
+        return
+    if same:
+        raise ValidationError(f"{option_a} {a} and {option_b} {b} name the same file")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as f:
@@ -97,6 +131,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_fit_killer(args) -> int:
+    _distinct_outputs("--output", args.output, "--plot", args.plot)
     killer = read_series(args.killer_csv)
     victim = read_series(args.victim_csv)
     fit = killer_fit(killer, victim, bounds=args.period, policy=args.regime_tolerance)
@@ -132,6 +167,7 @@ def _cmd_fit_killer(args) -> int:
 
 
 def _cmd_fisher_pry(args) -> int:
+    _distinct_outputs("--output", args.output, "--plot", args.plot)
     shares = read_series(args.shares_csv)
     shares = shares.restrict(args.period)
     fit = fisher_pry_fit(shares)
@@ -287,6 +323,7 @@ def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _distinct_outputs("--killer-out", args.killer_out, "--victim-out", args.victim_out)
     doc = _load_sim_params(args.params)
     yr = doc["years"]
     if not isinstance(yr, dict) or "first" not in yr or "last" not in yr:
@@ -383,8 +420,15 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of one command in COMMANDS; for anything else the full
     parser (``--help``, ``--version``, and the errors for no or an unknown
-    command), whose subparsers are built from the same pieces."""
-    if command in COMMANDS:
+    command), whose subparsers are built from the same pieces. Each is
+    built once per process and then shared: parse_args keeps its state in
+    the Namespace it returns, and the defaults are immutable."""
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    if command:
         parser = argparse.ArgumentParser(prog=f"techsub {command}")
         _add_arguments(parser, command)
         return parser

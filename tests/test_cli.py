@@ -302,6 +302,66 @@ class TestExitCodes:
         )
         assert not report.exists() and not plot.exists()
 
+    @pytest.mark.parametrize("plot", ["r.json", "./r.json", "linked/r.json", "d/../r.json"])
+    def test_fit_killer_report_and_plot_on_one_file_is_validation_failure(
+        self, run_cli, power_law_pair, tmp_path, monkeypatch, plot
+    ):
+        killer_csv, victim_csv = power_law_pair
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "linked").symlink_to(tmp_path)
+        code, out, err = run_cli(
+            "fit-killer", killer_csv, victim_csv, "--plot", plot, "--output", "r.json"
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --output r.json and --plot {plot} name the same file\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("link", ["symbolic", "hard"])
+    def test_fisher_pry_report_and_plot_on_one_file_is_validation_failure(
+        self, run_cli, tmp_path, link
+    ):
+        """A symbolic link to a report not yet written, or a hard link to
+        one already there, names the report's file."""
+        shares = write_csv(tmp_path / "s.csv", [(1, 0.2), (2, 0.5), (3, 0.8)])
+        report, plot = tmp_path / "r.json", tmp_path / "link.json"
+        if link == "symbolic":
+            plot.symlink_to(report)
+        else:
+            report.write_text("kept\n")
+            os.link(report, plot)
+        code, out, err = run_cli("fisher-pry", shares, "--plot", plot, "--output", report)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --output {report} and --plot {plot} "
+            "name the same file\n"
+        )
+        if link == "hard":
+            assert report.read_text() == "kept\n"
+        else:
+            assert not report.exists()
+
+    def test_simulate_outputs_on_one_file_is_validation_failure(self, run_cli, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 54},
+        }))
+        out_csv = tmp_path / "x.csv"
+        out_csv.write_text("kept\n")
+        code, out, err = run_cli(
+            "simulate", params, "--killer-out", out_csv, "--victim-out", out_csv
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --killer-out {out_csv} and --victim-out {out_csv} "
+            "name the same file\n"
+        )
+        assert out_csv.read_text() == "kept\n"
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -796,8 +856,9 @@ class TestImportBoundary:
 
 
 class TestParsers:
-    """main builds only the named command's parser; it must parse and
-    print help exactly as that command's subparser in the full parser."""
+    """main builds only the named command's parser, once per process; it
+    must parse and print help exactly as that command's subparser in the
+    full parser."""
 
     VALID = [
         ["fit-killer", "k.csv", "v.csv"],
@@ -809,6 +870,40 @@ class TestParsers:
         ["waves", "m.json", "--threshold", "2.5", "--output", "r.json"],
         ["simulate", "p.json", "--killer-out", "k.csv", "--victim-out", "v.csv"],
     ]
+
+    def test_each_parser_is_built_once(self):
+        from techsub.cli import COMMANDS, build_parser
+
+        for name in [*COMMANDS, None]:
+            assert build_parser(name) is build_parser(name)
+        assert build_parser() is build_parser(None)
+
+    def test_shared_parser_carries_nothing_between_calls(self, run_cli, tmp_path):
+        """A usage error, then a run with a period and a fixed band, leave
+        nothing behind: the next plain run reports what a fresh interpreter
+        does."""
+        years = range(2000, 2010)
+        victim = write_csv(tmp_path / "v.csv", [(y, float(y - 1999)) for y in years])
+        killer = write_csv(
+            tmp_path / "k.csv", [(y, math.exp(2.0) * (y - 1999) ** 1.05) for y in years]
+        )
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit-killer", "--bogus")
+        assert exc.value.code == 2
+        code, out, _ = run_cli(
+            "fit-killer", killer, victim, "--period", "2003:2007",
+            "--regime-tolerance", "abs:0.1", "--no-timestamp",
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["n"], payload["regime"]) == (5, "proportional-growth")
+        code, out, _ = run_cli("fit-killer", killer, victim, "--no-timestamp")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert (payload["n"], payload["regime"]) == (10, "development")
+        fresh = run_python("-m", "techsub.cli", "fit-killer", killer, victim, "--no-timestamp")
+        assert fresh.returncode == 0, fresh.stderr
+        assert out == fresh.stdout
 
     def test_command_help_matches_the_full_parser(self):
         from techsub.cli import COMMANDS, build_parser
