@@ -109,17 +109,29 @@ def _file_key(path: str) -> tuple:
         return st.st_dev, st.st_ino, name
 
 
-def _distinct_outputs(option_a: str, a: str | None, option_b: str, b: str | None) -> None:
-    """Refuse two outputs that name one file, before any work or write: the
-    second write would replace the first."""
-    if not (a and b):
-        return
-    try:
-        same = _file_key(a) == _file_key(b)
-    except OSError:  # a path that cannot be written fails when it is
-        return
-    if same:
-        raise ValidationError(f"{option_a} {a} and {option_b} {b} name the same file")
+def _distinct_outputs(outputs: list[tuple[str, str | None]], inputs: list[str]) -> None:
+    """Refuse, before any write, two (option, path) outputs that name one
+    file, or an output that names a file the command reads: the write would
+    replace it. An input that is not there is left to fail when read."""
+    keys = {}
+    for option, path in outputs:
+        if not path:
+            continue
+        try:
+            key = _file_key(path)
+        except OSError:  # a path that cannot be written fails when it is
+            continue
+        if key in keys:
+            raise ValidationError(f"{keys[key]} and {option} {path} name the same file")
+        keys[key] = f"{option} {path}"
+    for path in inputs if keys else ():
+        try:
+            st = os.stat(path)  # the key _file_key gives a file that is there
+        except OSError:
+            continue
+        label = keys.get((st.st_dev, st.st_ino))
+        if label:
+            raise ValidationError(f"{label} and input {path} name the same file")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -131,7 +143,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_fit_killer(args) -> int:
-    _distinct_outputs("--output", args.output, "--plot", args.plot)
+    _distinct_outputs(
+        [("--output", args.output), ("--plot", args.plot)], [args.killer_csv, args.victim_csv]
+    )
     killer = read_series(args.killer_csv)
     victim = read_series(args.victim_csv)
     fit = killer_fit(killer, victim, bounds=args.period, policy=args.regime_tolerance)
@@ -167,7 +181,7 @@ def _cmd_fit_killer(args) -> int:
 
 
 def _cmd_fisher_pry(args) -> int:
-    _distinct_outputs("--output", args.output, "--plot", args.plot)
+    _distinct_outputs([("--output", args.output), ("--plot", args.plot)], [args.shares_csv])
     shares = read_series(args.shares_csv)
     shares = shares.restrict(args.period)
     fit = fisher_pry_fit(shares)
@@ -210,6 +224,10 @@ def _cmd_waves(args) -> int:
         raise ValidationError(
             f"{args.manifest}: manifest lists no series (nothing to analyze)"
         )
+    _distinct_outputs(
+        [("--output", args.output)],
+        [args.manifest, *(os.path.join(manifest.base_dir, ref.file) for ref in manifest.series)],
+    )
 
     warnings = []
     waves = []  # (series, events, metrics or None while in progress), manifest order
@@ -323,7 +341,9 @@ def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _distinct_outputs("--killer-out", args.killer_out, "--victim-out", args.victim_out)
+    _distinct_outputs(
+        [("--killer-out", args.killer_out), ("--victim-out", args.victim_out)], [args.params]
+    )
     doc = _load_sim_params(args.params)
     yr = doc["years"]
     if not isinstance(yr, dict) or "first" not in yr or "last" not in yr:

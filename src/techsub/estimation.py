@@ -316,7 +316,9 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     resolvable: one scan of K_GRID_SIZE points finds the basin, then
     scans of K_NARROW_SIZE points between the best point's two
     neighbours narrow it until they lie within 1e-12 (8 to 10 narrowing
-    scans, at most 704 candidates in all). For each candidate K the
+    scans, at most 704 candidates in all). Each scan runs in place in one
+    (size, n) buffer, rounding each step as the plain numpy expression
+    would, so it returns the same floats. For each candidate K the
     remaining parameters come from closed-form OLS on the
     logit-linearized data ln(K-v) - ln(v) = a - b*t, with every sum over
     the series alone taken once per fit; the objective is the sum of
@@ -355,19 +357,29 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     lo = math.log(K_EPSILON * v_max)
     hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
     size = K_GRID_SIZE
+    n = len(v)
+    buffer = np.empty((size, n))
     while True:
-        u = np.linspace(lo, hi, size)
+        # np.linspace(lo, hi, size) by linspace's own arithmetic
+        u = np.arange(size, dtype=float) * ((hi - lo) / (size - 1))
+        u += lo
+        u[-1] = hi
         gaps = np.exp(u)
         K = (v_max + gaps)[:, None]
-        log_k_minus_v = np.log(K - v)
-        b = (log_v_dt - log_k_minus_v @ dt) / dt_dt
-        a = log_k_minus_v.mean(axis=1) - log_v_mean + b * t_mean
+        # z holds ln(K - v), then the scaled prediction, then the residual
+        z = buffer[:size]
+        np.log(np.subtract(K, v, out=z), out=z)
+        b = (log_v_dt - z @ dt) / dt_dt
+        a = np.add.reduce(z, axis=1) / n - log_v_mean + b * t_mean
         with np.errstate(over="ignore"):
-            pred = (K / v_max) / (
-                1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
-            )
-        resid = w - pred
-        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+            np.multiply(b[:, None], t, out=z)
+            np.subtract(a[:, None], z, out=z)
+            np.minimum(np.maximum(z, -700.0, out=z), 700.0, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            np.divide(K / v_max, z, out=z)
+        np.subtract(w, z, out=z)
+        best = int(np.einsum("ij,ij->i", z, z).argmin())
         lo = u[max(best - 1, 0)]
         hi = u[min(best + 1, size - 1)]
         if hi - lo <= 1e-12:

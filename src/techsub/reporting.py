@@ -3,10 +3,9 @@ provenance, significance stars and regime narratives."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from datetime import datetime, timezone
+import time
 
 from .estimation import FisherPryFit, KillerFit, Regime
 
@@ -26,8 +25,19 @@ def significance_stars(p_value: float) -> str:
 
 
 def file_digest(path: str | os.PathLike) -> str:
+    import hashlib  # loads OpenSSL: only a digest needs it
+
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def utc_timestamp(ns: int) -> str:
+    """An instant, in ns since the epoch, as datetime's UTC isoformat() text
+    (microseconds floored as datetime.now floors them, and left out when
+    0), without loading datetime."""
+    seconds, us = divmod(ns // 1000, 1_000_000)
+    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
 
 
 _REGIME_PHRASES = {
@@ -82,7 +92,7 @@ def build_report(
         "log_base": "e",
     }
     if timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).isoformat()
+        report["timestamp"] = utc_timestamp(time.time_ns())
     report["inputs"] = [
         {"path": str(p), "sha256": file_digest(p)} for p in inputs
     ]

@@ -362,6 +362,76 @@ class TestExitCodes:
         )
         assert out_csv.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("option, role", [("--output", "victim"), ("--plot", "killer")])
+    def test_fit_killer_output_on_an_input_is_validation_failure(
+        self, run_cli, power_law_pair, option, role
+    ):
+        killer_csv, victim_csv = power_law_pair
+        target = killer_csv if role == "killer" else victim_csv
+        kept = target.read_bytes()
+        code, out, err = run_cli("fit-killer", killer_csv, victim_csv, option, target)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: {option} {target} and input {target} name the same file\n"
+        )
+        assert target.read_bytes() == kept
+
+    @pytest.mark.parametrize("spelling", ["same", "symbolic"])
+    def test_fisher_pry_output_on_its_input_is_validation_failure(
+        self, run_cli, tmp_path, spelling
+    ):
+        """The report would replace the shares it was fitted to, and the next
+        run would fail to parse them."""
+        shares = write_csv(tmp_path / "s.csv", [(1, 0.2), (2, 0.5), (3, 0.8)])
+        kept = shares.read_bytes()
+        output = shares
+        if spelling == "symbolic":
+            output = tmp_path / "link.json"
+            output.symlink_to(shares)
+        code, out, err = run_cli("fisher-pry", shares, "--no-timestamp", "--output", output)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --output {output} and input {shares} name the same file\n"
+        )
+        assert shares.read_bytes() == kept
+        assert run_cli("fisher-pry", shares, "--no-timestamp")[0] == 0
+
+    def test_simulate_output_on_its_parameter_file_is_validation_failure(
+        self, run_cli, tmp_path
+    ):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 54},
+        }))
+        kept = params.read_bytes()
+        victim_csv = tmp_path / "v.csv"
+        code, out, err = run_cli(
+            "simulate", params, "--killer-out", params, "--victim-out", victim_csv
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --killer-out {params} and input {params} "
+            "name the same file\n"
+        )
+        assert params.read_bytes() == kept
+        assert not victim_csv.exists()
+
+    @pytest.mark.parametrize("target", ["m.json", "b.csv"])
+    def test_waves_output_on_an_input_is_validation_failure(self, run_cli, tmp_path, target):
+        """The manifest and every series file it lists are inputs."""
+        manifest = constant_gap_manifest(tmp_path)
+        output = tmp_path / target
+        kept = output.read_bytes()
+        code, out, err = run_cli("waves", manifest, "--output", output)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: --output {output} and input "
+            f"{os.path.join(tmp_path, target)} name the same file\n"
+        )
+        assert output.read_bytes() == kept
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -764,12 +834,16 @@ class TestSimulate:
 
 class TestImportBoundary:
     """No command loads numpy or scipy, simulate with noise included. The
-    records, the CLI, the SVG escaping, the t test of B = 1 and the exact
-    regression and wave sums load none of the stdlib modules in HEAVY
-    (added to what the interpreter loaded at start-up), in any command.
-    Without site (python -S), no command loads pathlib either."""
+    records, the CLI, the SVG escaping, the t test of B = 1, the exact
+    regression and wave sums and the report timestamp load none of the
+    stdlib modules in HEAVY (added to what the interpreter loaded at
+    start-up), in any command; hashlib loads with the first digest, which
+    simulate never takes. Without site (python -S), no command loads
+    pathlib either."""
 
-    HEAVY = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "html")
+    HEAVY = (
+        "dataclasses", "inspect", "statistics", "fractions", "decimal", "html", "datetime"
+    )
     SCRIPT = textwrap.dedent(
         """
         import json, sys
@@ -782,6 +856,7 @@ class TestImportBoundary:
                 "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
                 "heavy": sorted(m for m in new if m.split(".")[0] in HEAVY),
                 "pathlib": "pathlib" in sys.modules,
+                "hashlib": "hashlib" in new,
             }
         from techsub.cli import main
         stages = [loaded()]
@@ -792,11 +867,11 @@ class TestImportBoundary:
         stages.append(loaded())
         assert main(["fit-killer", k, v, "--regime-tolerance", "abs:0.1", "--no-timestamp"]) == 0
         stages.append(loaded())
-        assert main(["fisher-pry", shares, "--no-timestamp"]) == 0
+        assert main(["fisher-pry", shares]) == 0
         stages.append(loaded())
         assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
         stages.append(loaded())
-        assert main(["waves", manifest, "--no-timestamp"]) == 0
+        assert main(["waves", manifest]) == 0
         stages.append(loaded())
         print(json.dumps(stages))
         """
@@ -837,6 +912,7 @@ class TestImportBoundary:
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
             assert loaded["heavy"] == []
+        assert [loaded["hashlib"] for loaded in stages] == [False] * 3 + [True] * 4
 
     def test_no_command_loads_pathlib_without_site(self, tmp_path):
         """Under -S no .pth file runs, so what is loaded is the package's

@@ -10,7 +10,9 @@ from conftest import check_record, make_series
 from techsub.errors import EstimationError, TechsubError, ValidationError
 from techsub.estimation import (
     K_EPSILON,
+    K_GRID_SIZE,
     K_MAX_FACTOR,
+    K_NARROW_SIZE,
     AbsoluteTolerance,
     FisherPryFit,
     KillerFit,
@@ -82,6 +84,45 @@ def six_scan_logistic_fit(series):
         lo, hi = u[max(best - 1, 0)], u[min(best + 1, 383)]
         if hi - lo <= 1e-12:
             break
+    return LogisticParams(K=v_max + float(gaps[best]), a=float(a[best]), b=float(b[best]))
+
+
+def reference_scan_fit(series):
+    """Reference: logistic_fit's scans written with np.linspace, np.clip,
+    .mean and a fresh array per step (the same candidates, arithmetic and
+    bracket rule), for a series that passes logistic_fit's checks."""
+    pts = [(y, v) for y, v in series.points if v > 0.0]
+    t = np.array([y for y, _ in pts], dtype=float)
+    v = np.array([x for _, x in pts], dtype=float)
+    v_max = float(v.max())
+    t_mean = t.mean()
+    dt = t - t_mean
+    dt_dt = float(dt @ dt)
+    log_v = np.log(v)
+    log_v_dt = float(log_v @ dt)
+    log_v_mean = log_v.mean()
+    w = v / v_max
+    lo = math.log(K_EPSILON * v_max)
+    hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
+    size = K_GRID_SIZE
+    while True:
+        u = np.linspace(lo, hi, size)
+        gaps = np.exp(u)
+        K = (v_max + gaps)[:, None]
+        log_k_minus_v = np.log(K - v)
+        b = (log_v_dt - log_k_minus_v @ dt) / dt_dt
+        a = log_k_minus_v.mean(axis=1) - log_v_mean + b * t_mean
+        with np.errstate(over="ignore"):
+            pred = (K / v_max) / (
+                1.0 + np.exp(np.clip(a[:, None] - b[:, None] * t, -700.0, 700.0))
+            )
+        resid = w - pred
+        best = int(np.argmin(np.einsum("ij,ij->i", resid, resid)))
+        lo = u[max(best - 1, 0)]
+        hi = u[min(best + 1, size - 1)]
+        if hi - lo <= 1e-12:
+            break
+        size = K_NARROW_SIZE
     return LogisticParams(K=v_max + float(gaps[best]), a=float(a[best]), b=float(b[best]))
 
 
@@ -600,6 +641,29 @@ class TestLogisticFit:
         series = make_series([(t, logistic_value(truth, t) * noise[t]) for t in range(51)])
         best = logistic_sse(six_scan_logistic_fit(series), series)
         assert logistic_sse(logistic_fit(series), series) <= (1 + 1e-9) * best
+
+    @pytest.mark.parametrize("stage", ["early", "inflection", "saturated"])
+    def test_scan_is_bit_identical_to_the_reference(self, stage):
+        # 120 seeded series per stage, each also mirrored in time; the
+        # in-place scan must return exactly the reference's floats
+        rng = np.random.default_rng(100 + ["early", "inflection", "saturated"].index(stage))
+        for _ in range(120):
+            rising = stage_series(rng, stage)[0]
+            falling = make_series([(-t, v) for t, v in reversed(rising.points)])
+            for series in (rising, falling):
+                assert tuple(logistic_fit(series)) == tuple(reference_scan_fit(series)), series
+
+    def test_multimodal_and_rescaled_scans_are_bit_identical_to_the_reference(self):
+        truth = LogisticParams(K=1e4, a=40.0, b=0.8)
+        cases = []
+        for seed in [34, 116, 123, 141, 168, 389]:
+            noise = np.exp(0.3 * np.random.default_rng(seed).standard_normal(51))
+            cases.append([(t, logistic_value(truth, t) * noise[t]) for t in range(51)])
+        for exponent in range(-294, 301, 6):
+            cases.append([(t, float(f"1e{exponent}") * (t + 1)) for t in range(6)])
+        for points in cases:
+            series = make_series(points)
+            assert tuple(logistic_fit(series)) == tuple(reference_scan_fit(series)), series
 
     def test_parameters_are_python_floats(self):
         truth = LogisticParams(K=100.0, a=5.0, b=0.5)

@@ -10,6 +10,7 @@ from techsub.reporting import (
     regime_narrative,
     render_report,
     significance_stars,
+    utc_timestamp,
 )
 
 
@@ -124,3 +125,21 @@ class TestBuildReport:
         without = build_report("c", "d", {}, [src], timestamp=False)
         assert "timestamp" in with_ts
         assert "timestamp" not in without
+
+    @pytest.mark.parametrize(
+        "ns",
+        [
+            0,  # the epoch: no fraction
+            999,  # below a microsecond: floored, no fraction
+            1_000,
+            -1,  # floored into the second before the epoch
+            951_782_400_000_000_000,  # a leap day, no fraction
+            1_760_000_000_123_456_789,
+            4_102_444_799_999_999_999,
+        ],
+    )
+    def test_timestamp_text_matches_datetime(self, ns):
+        from datetime import datetime, timedelta, timezone
+
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        assert utc_timestamp(ns) == (epoch + timedelta(microseconds=ns // 1000)).isoformat()
