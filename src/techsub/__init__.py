@@ -48,6 +48,7 @@ from .waves import (
     summarize_waves,
     takeover_year,
     wave_metrics,
+    waves_payload,
 )
 
 __all__ = [
@@ -88,4 +89,5 @@ __all__ = [
     "summarize_waves",
     "takeover_year",
     "wave_metrics",
+    "waves_payload",
 ]

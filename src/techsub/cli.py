@@ -26,7 +26,7 @@ from .estimation import (
 )
 from .growth import LogisticParams, logistic_value
 from .ingest import (
-    TimeSeries, json_number, load_manifest, read_json_object, read_series,
+    TimeSeries, json_number, json_year_range, load_manifest, read_json_object, read_series,
     serialize_series,
 )
 from .reporting import (
@@ -37,14 +37,7 @@ from .reporting import (
     render_report,
 )
 from .svgplot import render_scatter
-from .waves import (
-    Takeover,
-    extract_wave_events,
-    intro_gap_diagnostic,
-    summarize_waves,
-    takeover_year,
-    wave_metrics,
-)
+from .waves import extract_wave_events, waves_payload
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -230,69 +223,28 @@ def _cmd_waves(args) -> int:
     )
 
     warnings = []
-    waves = []  # (series, events, metrics or None while in progress), manifest order
+    waves = []  # (series, events), manifest order
     for ref in manifest.series:
         try:
             series = manifest.resolve(ref).restrict(manifest.period)
-            events = extract_wave_events(series, args.threshold)
+            waves.append((series, extract_wave_events(series, args.threshold)))
         except (ParseError, ValidationError) as exc:
             warnings.append(f"{ref.file}: {exc}")
-            continue
-        waves.append((series, events, wave_metrics(events) if events.complete else None))
     if not waves:
         raise ValidationError(f"{args.manifest}: no series could be analyzed")
 
-    completed = [metrics for _, _, metrics in waves if metrics is not None]
-    takeovers = []
-    for (old, _, _), (new, _, _) in zip(waves, waves[1:]):
-        try:
-            crossing = takeover_year(new, old)
-        except ValidationError as exc:
-            warnings.append(str(exc))
-            crossing = None
-        fields = crossing._asdict() if crossing else dict.fromkeys(Takeover._fields)
-        takeovers.append({"established": old.name, "challenger": new.name, **fields})
-    gaps = intro_gap_diagnostic(
-        [(a, b) for (_, a, _), (_, b, _) in zip(waves, waves[1:]) if a.complete]
-    )
-
-    n_excluded = len(waves) - len(completed)
-    payload = {
-        "technologies": [
-            {
-                **events._asdict(),
-                "in_progress": not events.complete,
-                "flag": "" if events.complete else "*",
-                "metrics": None if metrics is None else metrics._asdict(),
-            }
-            for _, events, metrics in waves
-        ],
-        "summary": {
-            "n_waves": len(completed),
-            "n_excluded": n_excluded,
-            **{
-                name: {"mean": mu, "sd": sd}
-                for name, (mu, sd) in summarize_waves(completed).items()
-            },
-        },
-        "takeovers": takeovers,
-        "intro_gaps": {
-            "points": [
-                {"gap_years": g, "disruption_years": d} for g, d in gaps.points
-            ],
-            "spearman": gaps.spearman,
-        },
-    }
+    payload, pair_warnings = waves_payload(waves)
+    summary = payload["summary"]
     report = build_report(
         command="waves",
         dataset=manifest.dataset,
         payload=payload,
         inputs=[args.manifest],
         narrative=(
-            f"{len(completed)} completed wave(s) summarized, "
-            f"{n_excluded} still in progress (flagged '*')."
+            f"{summary['n_waves']} completed wave(s) summarized, "
+            f"{summary['n_excluded']} still in progress (flagged '*')."
         ),
-        warnings=warnings,
+        warnings=warnings + pair_warnings,
         timestamp=not args.no_timestamp,
     )
     _emit(render_report(report), args.output)
@@ -345,15 +297,7 @@ def _cmd_simulate(args) -> int:
         [("--killer-out", args.killer_out), ("--victim-out", args.victim_out)], [args.params]
     )
     doc = _load_sim_params(args.params)
-    yr = doc["years"]
-    if not isinstance(yr, dict) or "first" not in yr or "last" not in yr:
-        raise ParseError(f"{args.params}: 'years' must hold 'first' and 'last'")
-    first, last = (
-        json_number(yr[k], f"{args.params}: years {k}", integer=True)
-        for k in ("first", "last")
-    )
-    if first > last:
-        raise ValidationError(f"empty year range {first}:{last}")
+    first, last = json_year_range(doc, "years", args.params)
     years = list(range(first, last + 1))
     sigma = json_number(doc.get("noise_sigma", 0.0), f"{args.params}: noise_sigma")
     if not (math.isfinite(sigma) and sigma >= 0.0):

@@ -374,7 +374,6 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
         with np.errstate(over="ignore"):
             np.multiply(b[:, None], t, out=z)
             np.subtract(a[:, None], z, out=z)
-            np.minimum(np.maximum(z, -700.0, out=z), 700.0, out=z)
             np.exp(z, out=z)
             z += 1.0
             np.divide(K / v_max, z, out=z)

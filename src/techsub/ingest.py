@@ -224,22 +224,24 @@ def json_number(value, what: str, integer: bool = False):
         raise ParseError(f"{what} is too large for a float")
 
 
+def json_year_range(doc: dict, key: str, path) -> tuple[int, int]:
+    """doc[key] as a (first, last) year range: a ParseError unless it is an
+    object of two integers 'first' and 'last', a ValidationError if empty."""
+    span = doc[key]
+    if not isinstance(span, dict) or "first" not in span or "last" not in span:
+        raise ParseError(f"{path}: {key!r} must hold integer 'first' and 'last'")
+    first, last = (
+        json_number(span[k], f"{path}: {key} {k}", integer=True) for k in ("first", "last")
+    )
+    if first > last:
+        raise ValidationError(f"{path}: {key}: empty year range {first}:{last} (first > last)")
+    return first, last
+
+
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Load and validate a JSON dataset manifest (schema in the README)."""
     doc = read_json_object(path, "manifest")
-
-    period = None
-    if "period" in doc:
-        p = doc["period"]
-        if not isinstance(p, dict) or "first" not in p or "last" not in p:
-            raise ParseError(f"{path}: 'period' must hold integer 'first' and 'last'")
-        first, last = (
-            json_number(p[k], f"{path}: period {k}", integer=True) for k in ("first", "last")
-        )
-        if first > last:
-            raise ValidationError(f"{path}: period first {first} > last {last}")
-        period = (first, last)
-
+    period = json_year_range(doc, "period", path) if "period" in doc else None
     dataset = doc.get("dataset", _stem(path))
     if not isinstance(dataset, str):
         raise ParseError(f"{path}: 'dataset' must be a string, got {dataset!r}")

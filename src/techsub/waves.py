@@ -198,3 +198,50 @@ def intro_gap_diagnostic(
         points.append((gap, dp))
     spearman = _spearman_rho([g for g, _ in points], [d for _, d in points])
     return IntroGapDiagnostic(points=tuple(points), spearman=spearman)
+
+
+def waves_payload(waves: list[tuple[TimeSeries, WaveEvents]]) -> tuple[dict, list[str]]:
+    """The payload of a `waves` report on technologies in succession order,
+    with one warning per adjacent pair that cannot be compared (its
+    takeover fields are then null). One walk over the adjacent pairs finds
+    the takeovers and the intro gaps of the pairs whose established wave
+    is complete."""
+    metrics = [wave_metrics(events) if events.complete else None for _, events in waves]
+    completed = [m for m in metrics if m is not None]
+    warnings, takeovers, gap_pairs = [], [], []
+    for (old, old_events), (new, new_events) in zip(waves, waves[1:]):
+        try:
+            crossing = takeover_year(new, old)
+        except ValidationError as exc:
+            warnings.append(str(exc))
+            crossing = None
+        fields = crossing._asdict() if crossing else dict.fromkeys(Takeover._fields)
+        takeovers.append({"established": old.name, "challenger": new.name, **fields})
+        if old_events.complete:
+            gap_pairs.append((old_events, new_events))
+    gaps = intro_gap_diagnostic(gap_pairs)
+    payload = {
+        "technologies": [
+            {
+                **events._asdict(),
+                "in_progress": not events.complete,
+                "flag": "" if events.complete else "*",
+                "metrics": None if m is None else m._asdict(),
+            }
+            for (_, events), m in zip(waves, metrics)
+        ],
+        "summary": {
+            "n_waves": len(completed),
+            "n_excluded": len(waves) - len(completed),
+            **{
+                name: {"mean": mu, "sd": sd}
+                for name, (mu, sd) in summarize_waves(completed).items()
+            },
+        },
+        "takeovers": takeovers,
+        "intro_gaps": {
+            "points": [{"gap_years": g, "disruption_years": d} for g, d in gaps.points],
+            "spearman": gaps.spearman,
+        },
+    }
+    return payload, warnings

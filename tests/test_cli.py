@@ -541,6 +541,27 @@ class TestWaves:
         assert [t["name"] for t in report["payload"]["technologies"]] == ["b"]
         assert report["payload"]["takeovers"] == []
 
+    def test_pair_warnings_follow_series_warnings_and_null_the_takeover(self, run_cli, tmp_path):
+        write_csv(tmp_path / "z.csv", [(1990, -1.0), (1991, 1.0)])
+        write_csv(tmp_path / "a.csv", [(2000, 1.0), (2001, 3.0), (2002, 0.0)])
+        write_csv(tmp_path / "b.csv", [(2005, 1.0), (2006, 2.0), (2007, 4.0)])
+        manifest = write_manifest(
+            tmp_path / "m.json", {"series": [{"file": f} for f in ("z.csv", "a.csv", "b.csv")]}
+        )
+        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["warnings"] == [
+            "z.csv: series 'z': negative level at year 1990",
+            "series 'b' and 'a' share no years",
+        ]
+        assert report["payload"]["takeovers"] == [{
+            "established": "a", "challenger": "b", "year": None, "challenger_value": None,
+            "established_value": None, "established_share_pct": None,
+        }]
+        gaps = report["payload"]["intro_gaps"]
+        assert gaps["points"] == [{"gap_years": 5, "disruption_years": 0}]
+
     def test_single_technology(self, run_cli, tmp_path):
         write_csv(tmp_path / "only.csv", [(2000, 1.0), (2001, 2.0), (2002, 0.0)])
         manifest = write_manifest(

@@ -661,6 +661,10 @@ class TestLogisticFit:
             cases.append([(t, logistic_value(truth, t) * noise[t]) for t in range(51)])
         for exponent in range(-294, 301, 6):
             cases.append([(t, float(f"1e{exponent}") * (t + 1)) for t in range(6)])
+        # levels over 320 and 600 decades: a - b*t passes 709 at some
+        # candidates, so exp overflows to inf and the prediction is exactly 0
+        cases.append([(t, 10.0 ** (-300 + 40 * t)) for t in range(9)])
+        cases.append([(t, 10.0 ** (-300 + 75 * t)) for t in range(9)])
         for points in cases:
             series = make_series(points)
             assert tuple(logistic_fit(series)) == tuple(reference_scan_fit(series)), series

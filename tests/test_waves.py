@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -7,7 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import check_record, make_series
+from techsub.cli import main
 from techsub.errors import ValidationError
+from techsub.ingest import read_series
 from techsub.waves import (
     IntroGapDiagnostic,
     Takeover,
@@ -18,7 +21,9 @@ from techsub.waves import (
     summarize_waves,
     takeover_year,
     wave_metrics,
+    waves_payload,
 )
+from test_golden import write_inputs
 
 
 def tent_series(name, begin, peak, last_positive, final_zero=True):
@@ -339,3 +344,22 @@ class TestIntroGapDiagnostic:
         b = WaveEvents("b", 2001, 2012, None)
         with pytest.raises(ValidationError, match="no disruption period"):
             intro_gap_diagnostic([(a, b)])
+
+
+class TestWavesPayload:
+    def test_payload_is_the_waves_report_payload(self, tmp_path):
+        write_inputs(tmp_path)
+        output = tmp_path / "waves.json"
+        argv = ["waves", str(tmp_path / "m.json"), "--no-timestamp", "--output", str(output)]
+        assert main(argv) == 0
+        series = [read_series(tmp_path / f) for f in ("a.csv", "b.csv", "c.csv")]
+        payload, warnings = waves_payload([(s, extract_wave_events(s)) for s in series])
+        assert payload == json.loads(output.read_text(encoding="utf-8"))["payload"]
+        assert warnings == []
+
+    def test_single_technology_has_no_pairs(self):
+        series = make_series([(2000, 1.0), (2001, 2.0), (2002, 0.0)], "only")
+        payload, warnings = waves_payload([(series, extract_wave_events(series))])
+        assert payload["takeovers"] == [] and warnings == []
+        assert payload["intro_gaps"] == {"points": [], "spearman": None}
+        assert payload["summary"]["n_waves"] == 1
