@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 
-from .errors import EstimationError, ParseError, ValidationError
+from .errors import EstimationError, ParseError, TechsubError, ValidationError
 from .estimation import (
     AbsoluteTolerance,
     TTestTolerance,
@@ -38,12 +38,6 @@ from .reporting import (
 )
 from .svgplot import render_scatter
 from .waves import extract_wave_events, waves_payload
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_VALIDATION = 4
-EXIT_ESTIMATION = 5
 
 
 def _parse_period(text: str) -> tuple[int, int]:
@@ -170,7 +164,7 @@ def _cmd_fit_killer(args) -> int:
             annotation=f"B = {fit.regression.beta:.3f}",
         )
         _emit(svg, args.plot)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_fisher_pry(args) -> int:
@@ -208,7 +202,7 @@ def _cmd_fisher_pry(args) -> int:
     _emit(render_report(report), args.output)
     if svg:
         _emit(svg, args.plot)
-    return EXIT_OK
+    return 0
 
 
 def _cmd_waves(args) -> int:
@@ -231,7 +225,9 @@ def _cmd_waves(args) -> int:
         except (ParseError, ValidationError) as exc:
             warnings.append(f"{ref.file}: {exc}")
     if not waves:
-        raise ValidationError(f"{args.manifest}: no series could be analyzed")
+        raise ValidationError(
+            f"{args.manifest}: no series could be analyzed: {'; '.join(warnings)}"
+        )
 
     payload, pair_warnings = waves_payload(waves)
     summary = payload["summary"]
@@ -248,7 +244,7 @@ def _cmd_waves(args) -> int:
         timestamp=not args.no_timestamp,
     )
     _emit(render_report(report), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _load_sim_params(path: str) -> dict:
@@ -319,7 +315,7 @@ def _cmd_simulate(args) -> int:
         f"wrote {args.victim_out} ({len(victim)} rows) and "
         f"{args.killer_out} ({len(killer)} rows)\n"
     )
-    return EXIT_OK
+    return 0
 
 
 COMMANDS = {
@@ -416,19 +412,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv[1:] if command else argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"techsub: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as exc:
         print(f"techsub: i/o error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"techsub: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EstimationError as exc:
-        print(f"techsub: estimation error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-
+        return 3
+    except TechsubError as exc:
+        print(f"techsub: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,6 +4,7 @@ provenance, significance stars and regime narratives."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -73,6 +74,10 @@ def fit_payload(model: str, fit: KillerFit | FisherPryFit) -> dict:
     return {"model": model, **regression, "stars_beta": stars, **fields}
 
 
+# why a fit's field can be non-finite: F = t^2 is infinite for a perfect fit
+_NON_FINITE_REASONS = {"f_stat": "zero residual variance"}
+
+
 def build_report(
     command: str,
     dataset: str,
@@ -83,7 +88,15 @@ def build_report(
     timestamp: bool = True,
 ) -> dict:
     """Assemble the report document. Field order is fixed so identical
-    inputs serialize byte-identically (timestamp optional for that)."""
+    inputs serialize byte-identically (timestamp optional for that). A
+    non-finite payload float, which JSON cannot hold, is written as null
+    with a warning that names the field and why it has no value."""
+    payload, warnings = dict(payload), list(warnings or [])
+    for key, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            payload[key] = None
+            why = _NON_FINITE_REASONS.get(key, "no finite value")
+            warnings.append(f"{key} is {value} ({why}); reported as null")
     report = {
         "tool": TOOL_NAME,
         "version": VERSION,
@@ -99,12 +112,12 @@ def build_report(
     report["payload"] = payload
     if narrative:
         report["narrative"] = narrative
-    report["warnings"] = warnings or []
+    report["warnings"] = warnings
     return report
 
 
 def render_report(report: dict) -> str:
-    """Serialize to JSON. Floats use repr, so every numeric field
-    round-trips exactly; non-finite values follow Python's JSON extension
-    (Infinity / NaN)."""
-    return json.dumps(report, indent=2) + "\n"
+    """Serialize to RFC 8259 JSON. Floats use repr, so every numeric field
+    round-trips exactly; a non-finite one raises ValueError (build_report
+    writes those in the payload as null)."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"

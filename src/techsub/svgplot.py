@@ -13,26 +13,29 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
 MARGIN_TOP = 48
 MARGIN_BOTTOM = 56
+TICKS = 5
+AXIS = 'stroke="black" stroke-width="1"'
 
 
-def _escape(text: str) -> str:
-    """html.escape(text, quote=False), without importing html."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+def _line(x1, y1, x2, y2, style: str = AXIS) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    """A sans-serif label; body is escaped as html.escape(body, quote=False)
+    would, without importing html."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.4g}"
-
-
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi == lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
 def render_scatter(
@@ -71,93 +74,49 @@ def render_scatter(
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    bottom = MARGIN_TOP + plot_h
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.0f}"
 
-    def px(v: float) -> float:
-        return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+    def px(v: float, shift: float = 0) -> str:
+        return f"{MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w + shift:.2f}"
 
-    def py(v: float) -> float:
-        return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+    def py(v: float, shift: float = 0) -> str:
+        return f"{MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h + shift:.2f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        _text(f"{WIDTH / 2:.0f}", 24, "middle", 15, title),
+        _line(MARGIN_LEFT, bottom, MARGIN_LEFT + plot_w, bottom),
+        _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom),
     ]
-
-    bottom = MARGIN_TOP + plot_h
-    right = MARGIN_LEFT + plot_w
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{bottom}" x2="{right}" y2="{bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" y2="{bottom}" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-
     for tick in _ticks(x_lo + x_pad, x_hi - x_pad):
         tx = px(tick)
-        parts.append(
-            f'<line x1="{_fmt(tx)}" y1="{bottom}" x2="{_fmt(tx)}" y2="{bottom + 5}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(tx)}" y="{bottom + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(tick)}</text>'
-        )
+        parts.append(_line(tx, bottom, tx, bottom + 5))
+        parts.append(_text(tx, bottom + 20, "middle", 11, f"{tick:.4g}"))
     for tick in _ticks(y_lo + y_pad, y_hi - y_pad):
         ty = py(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(ty)}" x2="{MARGIN_LEFT}" y2="{_fmt(ty)}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(ty + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(tick)}</text>'
-        )
-
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.0f})">{_escape(ylabel)}</text>'
-    )
+        parts.append(_line(MARGIN_LEFT - 5, ty, MARGIN_LEFT, ty))
+        parts.append(_text(MARGIN_LEFT - 8, py(tick, 4), "end", 11, f"{tick:.4g}"))
+    parts.append(_text(f"{MARGIN_LEFT + plot_w / 2:.0f}", HEIGHT - 12, "middle", 13, xlabel))
+    parts.append(_text(18, mid_y, "middle", 13, ylabel, f' transform="rotate(-90 18 {mid_y})"'))
 
     if vline is not None:
         vx, vlabel = vline
-        parts.append(
-            f'<line x1="{_fmt(px(vx))}" y1="{MARGIN_TOP}" x2="{_fmt(px(vx))}" y2="{bottom}" '
-            f'stroke="gray" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(vx) + 4)}" y="{MARGIN_TOP + 14}" text-anchor="start" '
-            f'font-family="sans-serif" font-size="11" fill="gray">{_escape(vlabel)}</text>'
-        )
-
+        style = 'stroke="gray" stroke-width="1" stroke-dasharray="4 3"'
+        parts.append(_line(px(vx), MARGIN_TOP, px(vx), bottom, style))
+        parts.append(_text(px(vx, 4), MARGIN_TOP + 14, "start", 11, vlabel, ' fill="gray"'))
     if line is not None:
         a, b = line
-        parts.append(
-            f'<line x1="{_fmt(px(x_lo))}" y1="{_fmt(py(a + b * x_lo))}" '
-            f'x2="{_fmt(px(x_hi))}" y2="{_fmt(py(a + b * x_hi))}" '
-            f'stroke="#c0392b" stroke-width="1.5"/>'
-        )
-
+        style = 'stroke="#c0392b" stroke-width="1.5"'
+        parts.append(_line(px(x_lo), py(a + b * x_lo), px(x_hi), py(a + b * x_hi), style))
     for xi, yi in zip(x, y):
         parts.append(
-            f'<circle cx="{_fmt(px(xi))}" cy="{_fmt(py(yi))}" r="3.5" '
-            f'fill="#2c5f8a" fill-opacity="0.85"/>'
+            f'<circle cx="{px(xi)}" cy="{py(yi)}" r="3.5" fill="#2c5f8a" fill-opacity="0.85"/>'
         )
-
     if annotation:
-        parts.append(
-            f'<text x="{right - 8}" y="{MARGIN_TOP + 16}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13">{_escape(annotation)}</text>'
-        )
+        parts.append(_text(MARGIN_LEFT + plot_w - 8, MARGIN_TOP + 16, "end", 13, annotation))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -103,8 +103,8 @@ def _mean_sd(values: list[float | None]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
     ints, d = exact_ints(values)
-    n, s, s2 = len(ints), sum(ints), sum(v * v for v in ints)
-    return s / (n * d), (sqrt_ratio(n * s2 - s * s, n * (n - 1) * d * d) if n >= 2 else None)
+    n, (s, _, q, _, _) = len(ints), centred_sums(ints, ints)
+    return s / (n * d), (sqrt_ratio(q, n * (n - 1) * d * d) if n >= 2 else None)
 
 
 def summarize_waves(

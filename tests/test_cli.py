@@ -191,6 +191,23 @@ class TestFitKiller:
         assert out == ""
         assert json.loads(dest.read_text())["command"] == "fit-killer"
 
+    def test_identical_series_report_null_f_with_a_warning(self, run_cli, tmp_path):
+        """A killer identical to its victim fits with zero residual variance,
+        so F is infinite: the report says null, and why, in strict JSON."""
+        points = [(2000 + i, 1.5**i) for i in range(8)]
+        killer, victim = write_csv(tmp_path / "k.csv", points), write_csv(tmp_path / "v.csv", points)
+        code, out, err = run_cli("fit-killer", killer, victim, "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out and "NaN" not in out
+
+        def refuse(constant):
+            raise ValueError(f"non-RFC 8259 constant {constant}")
+
+        report = json.loads(out, parse_constant=refuse)
+        assert report["payload"]["f_stat"] is None
+        assert report["payload"]["beta"] == 1.0
+        assert report["warnings"] == ["f_stat is inf (zero residual variance); reported as null"]
+
 
 class TestExitCodes:
     def test_missing_file_is_io_failure(self, run_cli, tmp_path):
@@ -633,6 +650,28 @@ class TestWaves:
         code, _, err = run_cli("waves", manifest)
         assert code == 4
         assert "no series" in err
+
+    def test_series_file_that_cannot_be_opened_is_io_failure(self, run_cli, tmp_path):
+        """A series file that is not there fails the run, as a missing input
+        does in every command; only a file whose contents are bad is a
+        per-series warning."""
+        self.make_manifest(tmp_path)
+        (tmp_path / "b.csv").unlink()
+        report = tmp_path / "r.json"
+        code, out, err = run_cli("waves", tmp_path / "m.json", "--output", report)
+        assert (code, out) == (3, "")
+        assert err.startswith("techsub: i/o error: ") and "b.csv" in err
+        assert not report.exists()
+
+    def test_no_analyzable_series_names_each_reason(self, run_cli, tmp_path):
+        write_csv(tmp_path / "z.csv", [(2000, 0.0), (2001, 0.0)])
+        manifest = write_manifest(tmp_path / "m.json", {"series": [{"file": "z.csv"}]})
+        code, out, err = run_cli("waves", manifest)
+        assert (code, out) == (4, "")
+        assert err == (
+            f"techsub: validation error: {manifest}: no series could be analyzed: "
+            "z.csv: series 'z' never exceeds threshold 0.0\n"
+        )
 
 
 class TestSimulate:

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_series
 from techsub.estimation import KillerFit, Regime, killer_fit, ols_fit
@@ -116,7 +119,21 @@ class TestBuildReport:
         doc = build_report("c", "d", {"v": value, "inf": float("inf")}, [src], timestamp=False)
         back = json.loads(render_report(doc))
         assert back["payload"]["v"] == value
-        assert back["payload"]["inf"] == float("inf")
+        assert back["payload"]["inf"] is None
+
+    @given(st.dictionaries(st.sampled_from(["f_stat", "beta", "n"]), st.floats(), max_size=3))
+    def test_every_report_is_strict_json(self, payload):
+        """A non-finite payload float is written as null with one warning
+        naming its field; every other float round-trips exactly."""
+        def refuse(constant):
+            raise ValueError(f"non-RFC 8259 constant {constant}")
+
+        doc = build_report("c", "d", payload, [], warnings=["w"], timestamp=False)
+        back = json.loads(render_report(doc), parse_constant=refuse)
+        bad = [k for k, v in payload.items() if not math.isfinite(v)]
+        assert back["payload"] == {k: None if k in bad else v for k, v in payload.items()}
+        assert back["warnings"][0] == "w"
+        assert [w.split(" ", 1)[0] for w in back["warnings"][1:]] == bad
 
     def test_timestamp_toggle(self, tmp_path):
         src = tmp_path / "input.csv"
