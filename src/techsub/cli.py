@@ -99,15 +99,14 @@ def _file_key(path: str) -> tuple:
 def _distinct_outputs(outputs: list[tuple[str, str | None]], inputs: list[str]) -> None:
     """Refuse, before any write, two (option, path) outputs that name one
     file, or an output that names a file the command reads: the write would
-    replace it. An input that is not there is left to fail when read."""
+    replace it. An output in a directory that is not there fails here too,
+    with _file_key's OSError. An input that is not there is left to fail
+    when read."""
     keys = {}
     for option, path in outputs:
         if not path:
             continue
-        try:
-            key = _file_key(path)
-        except OSError:  # a path that cannot be written fails when it is
-            continue
+        key = _file_key(path)
         if key in keys:
             raise ValidationError(f"{keys[key]} and {option} {path} name the same file")
         keys[key] = f"{option} {path}"
@@ -133,9 +132,20 @@ def _cmd_fit_killer(args) -> int:
     _distinct_outputs(
         [("--output", args.output), ("--plot", args.plot)], [args.killer_csv, args.victim_csv]
     )
-    killer = read_series(args.killer_csv)
-    victim = read_series(args.victim_csv)
-    fit = killer_fit(killer, victim, bounds=args.period, policy=args.regime_tolerance)
+    killer, victim = read_series(args.killer_csv), read_series(args.victim_csv)
+    fit = killer_fit(
+        killer.restrict(args.period), victim.restrict(args.period), policy=args.regime_tolerance
+    )
+    # rendered before the first write, as in fisher-pry
+    svg = args.plot and render_scatter(
+        fit.regression.xs,
+        fit.regression.ys,
+        title=f"{killer.name} vs {victim.name} (log-log)",
+        xlabel=f"ln {victim.name} level",
+        ylabel=f"ln {killer.name} level",
+        line=(fit.regression.alpha, fit.regression.beta),
+        annotation=f"B = {fit.regression.beta:.3f}",
+    )
 
     warnings = []
     if fit.n_dropped:
@@ -152,25 +162,14 @@ def _cmd_fit_killer(args) -> int:
         timestamp=not args.no_timestamp,
     )
     _emit(render_report(report), args.output)
-
-    if args.plot:
-        svg = render_scatter(
-            fit.regression.xs,
-            fit.regression.ys,
-            title=f"{killer.name} vs {victim.name} (log-log)",
-            xlabel=f"ln {victim.name} level",
-            ylabel=f"ln {killer.name} level",
-            line=(fit.regression.alpha, fit.regression.beta),
-            annotation=f"B = {fit.regression.beta:.3f}",
-        )
+    if svg:
         _emit(svg, args.plot)
     return 0
 
 
 def _cmd_fisher_pry(args) -> int:
     _distinct_outputs([("--output", args.output), ("--plot", args.plot)], [args.shares_csv])
-    shares = read_series(args.shares_csv)
-    shares = shares.restrict(args.period)
+    shares = read_series(args.shares_csv).restrict(args.period)
     fit = fisher_pry_fit(shares)
     # rendered first, so a plot that cannot be drawn leaves no report behind
     try:
@@ -220,7 +219,7 @@ def _cmd_waves(args) -> int:
     waves = []  # (series, events), manifest order
     for ref in manifest.series:
         try:
-            series = manifest.resolve(ref).restrict(manifest.period)
+            series = manifest.resolve(ref)
             waves.append((series, extract_wave_events(series, args.threshold)))
         except (ParseError, ValidationError) as exc:
             warnings.append(f"{ref.file}: {exc}")
@@ -339,33 +338,7 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         help="omit the timestamp field (byte-identical reruns)",
     )
     p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
-    if command == "fit-killer":
-        p.add_argument("killer_csv", help="CSV of the killer technology series")
-        p.add_argument("victim_csv", help="CSV of the victim technology series")
-        p.add_argument(
-            "--period",
-            type=_parse_period,
-            metavar="FIRST:LAST",
-            help="restrict both series to this year range",
-        )
-        p.add_argument("--plot", metavar="PATH", help="write a log-log SVG scatter here")
-        p.add_argument(
-            "--regime-tolerance",
-            type=_parse_tolerance,
-            default=TTestTolerance(),
-            metavar="{ttest|abs:X}",
-            help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
-        )
-        p.set_defaults(func=_cmd_fit_killer)
-    elif command == "fisher-pry":
-        p.add_argument("shares_csv", help="CSV of market shares in (0, 1)")
-        p.add_argument(
-            "--period", type=_parse_period, metavar="FIRST:LAST",
-            help="restrict the series to this year range",
-        )
-        p.add_argument("--plot", metavar="PATH", help="write the substitution SVG here")
-        p.set_defaults(func=_cmd_fisher_pry)
-    else:
+    if command == "waves":
         p.add_argument("manifest", help="JSON manifest listing series in succession order")
         p.add_argument(
             "--threshold",
@@ -375,6 +348,33 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
             help="activity threshold: a year counts as alive when value > V (default 0)",
         )
         p.set_defaults(func=_cmd_waves)
+        return
+    if command == "fit-killer":
+        p.add_argument("killer_csv", help="CSV of the killer technology series")
+        p.add_argument("victim_csv", help="CSV of the victim technology series")
+    else:
+        p.add_argument("shares_csv", help="CSV of market shares in (0, 1)")
+    p.add_argument(
+        "--period",
+        type=_parse_period,
+        metavar="FIRST:LAST",
+        help="restrict each series to these years; exit 4 when one has none of them",
+    )
+    p.add_argument("--plot", metavar="PATH", help=(
+        "write a log-log SVG scatter here" if command == "fit-killer"
+        else "write the substitution SVG here"
+    ))
+    if command == "fisher-pry":
+        p.set_defaults(func=_cmd_fisher_pry)
+        return
+    p.add_argument(
+        "--regime-tolerance",
+        type=_parse_tolerance,
+        default=TTestTolerance(),
+        metavar="{ttest|abs:X}",
+        help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
+    )
+    p.set_defaults(func=_cmd_fit_killer)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

@@ -260,23 +260,18 @@ def classify_regime(fit: RegressionFit, policy=None) -> Regime:
     return Regime.DEVELOPMENT if fit.beta > 1.0 else Regime.UNDER_DEVELOPMENT
 
 
-def killer_fit(
-    killer: TimeSeries,
-    victim: TimeSeries,
-    bounds: tuple[int, int] | None = None,
-    policy=None,
-) -> KillerFit:
+def killer_fit(killer: TimeSeries, victim: TimeSeries, policy=None) -> KillerFit:
     """Fit log(killer) = alpha + B*log(victim) on year-aligned observations.
 
-    Aligns the two series on year (inner join, optionally restricted to
-    bounds), drops years where either level is non-positive, and runs OLS
-    in natural-log space. Needs at least 3 usable aligned observations.
+    Aligns the two series on year (inner join; restrict each first to fit
+    a period), drops years where either level is non-positive, and runs
+    OLS in natural-log space. Needs at least 3 usable aligned observations.
     """
     years = []
     log_k = []
     log_v = []
     dropped = 0
-    for year, kv, vv in align_pair(killer, victim, bounds):
+    for year, kv, vv in align_pair(killer, victim):
         if kv > 0.0 and vv > 0.0:
             years.append(year)
             log_k.append(math.log(kv))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 
-# exp argument beyond this would overflow a double; clamp to the asymptote
+# exp argument beyond this would overflow a double
 _EXP_LIMIT = 700.0
 
 
@@ -70,16 +70,16 @@ class AllometricModel(NamedTuple("AllometricModel", [("A", float), ("B", float),
 def logistic_value(params: LogisticParams, t: float) -> float:
     """Evaluate K / (1 + exp(a - b*t)) at year t.
 
-    Total over valid params: when the exponent magnitude exceeds the
-    double-precision range the asymptotic limit (0 or K) is returned
-    instead of overflowing.
+    Total over valid params: where exp(a - b*t) overflows, 1 + exp(b*t - a)
+    is 1.0, so the level is K * exp(b*t - a), taken in two halves so that
+    neither underflows before the product does.
     """
     u = params.a - params.b * t
-    if u > _EXP_LIMIT:
-        return 0.0
-    if u < -_EXP_LIMIT:
-        return params.K
-    return params.K / (1.0 + math.exp(u))
+    try:
+        return params.K / (1.0 + math.exp(u))
+    except OverflowError:
+        half = math.exp(-u / 2)
+        return params.K * half * half
 
 
 def allometric_constants(

@@ -50,11 +50,17 @@ class TimeSeries(NamedTuple("TimeSeries", [("name", str), ("unit", str), ("point
         return tuple(v for _, v in self.points)
 
     def restrict(self, bounds: tuple[int, int] | None) -> "TimeSeries":
-        """Copy limited to years inside [first, last]; no-op when bounds is None."""
+        """Copy limited to years inside [first, last]; no-op when bounds is None.
+        The one place a period applies: a ValidationError when it holds
+        none of the series' observations (a series with none stays empty)."""
         if bounds is None:
             return self
         first, last = bounds
         pts = tuple(p for p in self.points if first <= p[0] <= last)
+        if self.points and not pts:
+            raise ValidationError(
+                f"period {first}-{last} does not overlap any observation of series {self.name!r}"
+            )
         return TimeSeries(self.name, self.unit, pts)
 
 
@@ -127,28 +133,21 @@ def serialize_series(series: TimeSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def align_pair(
-    killer: TimeSeries,
-    victim: TimeSeries,
-    bounds: tuple[int, int] | None = None,
-) -> list[tuple[int, float, float]]:
-    """Pair the two series year-by-year, restricted to bounds when given.
+def align_pair(killer: TimeSeries, victim: TimeSeries) -> list[tuple[int, float, float]]:
+    """Pair the two series year-by-year.
 
     Returns (year, killer_value, victim_value) rows in year order; years
-    present on only one side (or outside the bounds) are dropped. An empty
-    intersection raises ValidationError.
+    present on only one side are dropped. An empty intersection raises
+    ValidationError.
     """
-    victim_by_year = dict(victim.restrict(bounds).points)
+    victim_by_year = dict(victim.points)
     rows = [
         (year, value, victim_by_year[year])
-        for year, value in killer.restrict(bounds).points
+        for year, value in killer.points
         if year in victim_by_year
     ]
     if not rows:
-        raise ValidationError(
-            f"series {killer.name!r} and {victim.name!r} share no years"
-            + (f" within {bounds[0]}-{bounds[1]}" if bounds else "")
-        )
+        raise ValidationError(f"series {killer.name!r} and {victim.name!r} share no years")
     return rows
 
 
@@ -170,16 +169,9 @@ class DatasetManifest(NamedTuple):
     base_dir: str = ""
 
     def resolve(self, ref: SeriesRef) -> TimeSeries:
-        series = read_series(os.path.join(self.base_dir, ref.file), name=ref.name, unit=ref.unit)
-        if self.period is not None and series.points:
-            first, last = self.period
-            years = series.years
-            if last < years[0] or first > years[-1]:
-                raise ValidationError(
-                    f"manifest period {first}-{last} does not overlap series "
-                    f"{series.name!r} ({years[0]}-{years[-1]})"
-                )
-        return series
+        """The series ref names, restricted to the manifest's period."""
+        path = os.path.join(self.base_dir, ref.file)
+        return read_series(path, name=ref.name, unit=ref.unit).restrict(self.period)
 
 
 def _series_ref(obj) -> SeriesRef:

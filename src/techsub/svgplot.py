@@ -65,6 +65,7 @@ def render_scatter(
     if vline is not None:
         x_lo = min(x_lo, vline[0])
         x_hi = max(x_hi, vline[0])
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)  # the data's span, not padded
     x_pad = (x_hi - x_lo) * 0.05 or 1.0
     y_pad = (y_hi - y_lo) * 0.05 or 1.0
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
@@ -91,11 +92,11 @@ def render_scatter(
         _line(MARGIN_LEFT, bottom, MARGIN_LEFT + plot_w, bottom),
         _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom),
     ]
-    for tick in _ticks(x_lo + x_pad, x_hi - x_pad):
+    for tick in x_ticks:
         tx = px(tick)
         parts.append(_line(tx, bottom, tx, bottom + 5))
         parts.append(_text(tx, bottom + 20, "middle", 11, f"{tick:.4g}"))
-    for tick in _ticks(y_lo + y_pad, y_hi - y_pad):
+    for tick in y_ticks:
         ty = py(tick)
         parts.append(_line(MARGIN_LEFT - 5, ty, MARGIN_LEFT, ty))
         parts.append(_text(MARGIN_LEFT - 8, py(tick, 4), "end", 11, f"{tick:.4g}"))

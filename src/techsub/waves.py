@@ -133,11 +133,9 @@ class Takeover(NamedTuple):
 
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
-    """First strict crossing in common years, or None; rejects a negative level up to it.
+    """First strict crossing in align_pair's years, or None; rejects a negative level up to it.
     The share is one correctly rounded ratio of exact ints, finite at any level."""
-    old_by_year = dict(established.points)
-    common = ((y, v, old_by_year[y]) for y, v in new_tech.points if y in old_by_year)
-    for year, new_value, old_value in common:
+    for year, new_value, old_value in align_pair(new_tech, established):
         if new_value < 0 or old_value < 0:
             raise ValidationError(
                 f"series {new_tech.name!r} and {established.name!r}: negative level at year {year}"
@@ -145,7 +143,6 @@ def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | N
         if new_value > old_value:
             (o, n), _ = exact_ints([old_value, new_value])
             return Takeover(year, new_value, old_value, 100 * o / (o + n))
-    align_pair(new_tech, established)  # no crossing: raises if they share no years
     return None
 
 

@@ -208,6 +208,18 @@ class TestFitKiller:
         assert report["payload"]["beta"] == 1.0
         assert report["warnings"] == ["f_stat is inf (zero residual variance); reported as null"]
 
+    def test_constant_killer_plot_has_one_y_tick(self, run_cli, tmp_path):
+        """A constant killer's y span is the one value ln 5, so it gets one
+        tick: taken from the padded span less its pad, in floats, the ends
+        would differ by an ulp and give five ticks all labelled 1.609."""
+        killer = write_csv(tmp_path / "k.csv", [(y, 5.0) for y in range(1, 5)])
+        victim = write_csv(tmp_path / "v.csv", [(y, float(y)) for y in range(1, 5)])
+        plot = tmp_path / "p.svg"
+        code, _, _ = run_cli("fit-killer", killer, victim, "--no-timestamp", "--plot", plot)
+        assert code == 0
+        labels = [t.text for t in svg_elements(plot, "text") if t.get("text-anchor") == "end"]
+        assert labels == ["1.609", "B = 0.000"]
+
 
 class TestExitCodes:
     def test_missing_file_is_io_failure(self, run_cli, tmp_path):
@@ -449,6 +461,91 @@ class TestExitCodes:
         )
         assert output.read_bytes() == kept
 
+    def test_fit_killer_plot_in_a_missing_directory_writes_no_report(
+        self, run_cli, power_law_pair, tmp_path
+    ):
+        killer_csv, victim_csv = power_law_pair
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(
+            "fit-killer", killer_csv, victim_csv, "--output", report,
+            "--plot", tmp_path / "nodir" / "p.svg",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("techsub: i/o error: ")
+        assert not report.exists()
+
+    def test_fisher_pry_plot_in_a_missing_directory_writes_no_report(self, run_cli, tmp_path):
+        shares = write_csv(tmp_path / "s.csv", [(1, 0.2), (2, 0.5), (3, 0.8)])
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(
+            "fisher-pry", shares, "--output", report, "--plot", tmp_path / "nodir" / "p.svg"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("techsub: i/o error: ")
+        assert not report.exists()
+
+    def test_simulate_killer_out_in_a_missing_directory_writes_no_victim(
+        self, run_cli, tmp_path
+    ):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 54},
+        }))
+        victim_csv = tmp_path / "v.csv"
+        code, out, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "nodir" / "k.csv",
+            "--victim-out", victim_csv,
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("techsub: i/o error: ")
+        assert not victim_csv.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-killer", "k.csv", "v.csv", "--period", "abc"],
+            ["fit-killer", "k.csv", "v.csv", "--period", "2010:2000"],
+            ["fisher-pry", "s.csv", "--period", "abc"],
+            ["fisher-pry", "s.csv", "--period", "2010:2000"],
+            ["fit-killer", "k.csv", "v.csv", "--regime-tolerance", "abs:-1"],
+            ["fit-killer", "k.csv", "v.csv", "--regime-tolerance", "abs:x"],
+            ["fit-killer", "k.csv", "v.csv", "--regime-tolerance", "foo"],
+            ["waves", "m.json", "--threshold", "abc"],
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, run_cli, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+    def test_series_that_is_not_utf8_is_parse_failure(self, run_cli, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"year,value\n1,1\n2,\xff\n")
+        other = write_csv(tmp_path / "ok.csv", [(1, 1.0), (2, 2.0), (3, 3.0)])
+        code, out, err = run_cli("fit-killer", bad, other)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"techsub: parse error: {bad}: not valid UTF-8")
+
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry"])
+    def test_period_with_no_observation_is_validation_failure(
+        self, run_cli, tmp_path, command
+    ):
+        """One rule, one message: the period 2004-2008 falls in the series'
+        year gap, whatever the command."""
+        shares = write_csv(
+            tmp_path / "s.csv", [(y, 0.1 + 0.05 * i) for i, y in enumerate((2000, 2001, 2010))]
+        )
+        victim = write_csv(tmp_path / "v.csv", [(y, 1.0 + y) for y in range(2000, 2011)])
+        inputs = [shares, victim] if command == "fit-killer" else [shares]
+        code, out, err = run_cli(command, *inputs, "--period", "2004:2008")
+        assert (code, out) == (4, "")
+        assert err == (
+            "techsub: validation error: period 2004-2008 does not overlap any "
+            "observation of series 's'\n"
+        )
+
 
 class TestFisherPry:
     def test_exact_logistic_share_report_and_plot(self, run_cli, tmp_path):
@@ -673,6 +770,21 @@ class TestWaves:
             "z.csv: series 'z' never exceeds threshold 0.0\n"
         )
 
+    def test_period_in_a_year_gap_warns_that_it_does_not_overlap(self, run_cli, tmp_path):
+        write_csv(tmp_path / "a.csv", [(2000, 1.0), (2001, 2.0), (2010, 0.0)])
+        write_csv(tmp_path / "b.csv", [(y, float(y - 2003)) for y in range(2003, 2010)])
+        manifest = write_manifest(tmp_path / "m.json", {
+            "series": [{"file": "a.csv"}, {"file": "b.csv"}],
+            "period": {"first": 2004, "last": 2008},
+        })
+        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["warnings"] == [
+            "a.csv: period 2004-2008 does not overlap any observation of series 'a'"
+        ]
+        assert [t["name"] for t in report["payload"]["technologies"]] == ["b"]
+
 
 class TestSimulate:
     def params_file(self, tmp_path, **overrides):
@@ -890,6 +1002,38 @@ class TestSimulate:
         )
         assert code == 4
         assert "carrying capacity" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"killer": {"a": 8.0, "b": 1.0}}, "killer parameters missing key 'K'"),
+            ({"years": [0, 30]}, "'years' must hold integer 'first' and 'last'"),
+        ],
+    )
+    def test_missing_capacity_or_non_object_years_is_parse_failure(
+        self, run_cli, tmp_path, overrides, message
+    ):
+        params = self.params_file(tmp_path, **overrides)
+        got, _, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path / "k.csv",
+            "--victim-out", tmp_path / "v.csv",
+        )
+        assert got == 3
+        assert err.startswith("techsub: parse error: ") and message in err
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_level_past_the_range_of_exp_is_written_positive(self, run_cli, tmp_path):
+        """At year 0, a - b*t = 705: the level is K*exp(-705), about 6.6e-297,
+        not 0, so fit-killer keeps the year."""
+        params = self.params_file(
+            tmp_path, killer={"K": 1e10, "a": 705.0, "b": 1.0}, years={"first": 0, "last": 5}
+        )
+        kout, vout = tmp_path / "k.csv", tmp_path / "v.csv"
+        assert run_cli("simulate", params, "--killer-out", kout, "--victim-out", vout)[0] == 0
+        assert kout.read_text().splitlines()[2] == "0,6.643397797997952e-297"
+        code, out, _ = run_cli("fit-killer", kout, vout, "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["payload"]["n_dropped"] == 0
 
 
 class TestImportBoundary:

@@ -1,6 +1,6 @@
 """Exactness of the regression, Fisher-Pry t_half, the wave summary, the
 takeover share and the introduction-gap rank correlation against Fraction
-oracles.
+oracles, and of the logistic level against a decimal one.
 
 Every float field of RegressionFit except the two p-values, t_half, the
 takeover share, every wave mean and SD, and Spearman's rho must be the
@@ -8,8 +8,11 @@ float nearest the exact rational (or, for the standard errors, SDs and
 rho, the exact square root), ties to even. The oracles here sum in
 decimal.Decimal at a precision that rounds nothing, take the textbook
 formulas in fractions.Fraction and find each square root by search, so
-they share no code with the integer kernel under test. This module
-imports neither numpy nor scipy and runs on any supported Python.
+they share no code with the integer kernel under test. The logistic
+level K/(1 + exp(a - b*t)), whose float exp is not correctly rounded,
+must lie within a few ulps of a 60-digit Decimal evaluation, also where
+exp overflows. This module imports neither numpy nor scipy and runs on
+any supported Python.
 """
 
 import math
@@ -22,6 +25,7 @@ import pytest
 
 from techsub.errors import EstimationError
 from techsub.estimation import exact_ints, fisher_pry_fit, ols_fit, sqrt_ratio
+from techsub.growth import LogisticParams, logistic_value
 from techsub.ingest import TimeSeries
 from techsub.waves import (
     WaveEvents, WaveMetrics, intro_gap_diagnostic, summarize_waves, takeover_year, wave_metrics,
@@ -349,3 +353,26 @@ def test_spearman_rho_is_correctly_rounded():
         outcomes.append(want is None)
     # at least 2,000 values compared, and None for the 240 sets built with a constant side
     assert outcomes.count(False) >= 2_000 and outcomes.count(True) >= 240
+
+
+def logistic_cases(count=2_000, seed=20_190_106):
+    """Seeded (K, u) pairs, u = a - b*t exact: capacities of any exponent,
+    u from where exp(u) underflows to where K*exp(-u) does, u near the
+    edge of exp's range, and simulate's K = 1e10, a = 705, b = 1 at t = 0."""
+    rng = random.Random(seed)
+    yield 1e10, 705.0
+    for i in range(count):
+        K = 10.0 ** rng.uniform(-300.0, 308.0)
+        yield K, rng.uniform(700.0, 720.0) if i % 4 == 0 else rng.uniform(-800.0, 1500.0)
+
+
+def test_logistic_level_is_within_4_ulps_of_a_decimal_oracle():
+    """Decimal.exp is correctly rounded, and 60 digits leave the oracle's
+    own error far below an ulp; the float level has libm's exp (within an
+    ulp) and at most three rounded operations. Past exp's range the level
+    is positive, not 0, until it underflows."""
+    with localcontext(Context(prec=60)):
+        for K, u in logistic_cases():
+            got = logistic_value(LogisticParams(K, u, 1.0), 0.0)
+            want = float(Decimal(K) / (1 + Decimal(u).exp()))
+            assert abs(got - want) <= 4 * math.ulp(want), (K, u, got, want)

@@ -62,10 +62,13 @@ class TestLogisticValue:
         v = logistic_value(LogisticParams(K=100, a=2, b=1), 0.0)
         assert v == pytest.approx(11.920292202211755, rel=1e-12)
 
-    def test_overflow_clamps_to_asymptotes(self):
-        p = LogisticParams(K=100, a=0, b=1)
-        assert logistic_value(p, -701.0) == 0.0
-        assert logistic_value(p, 701.0) == 100.0
+    def test_far_tails_keep_their_levels(self):
+        """Past the range of exp(a - b*t) the level is K*exp(b*t - a), not 0
+        (here exp(-1000) alone underflows to 0); below it, K."""
+        p = LogisticParams(K=1e300, a=0, b=1)
+        assert logistic_value(p, -1000.0) == pytest.approx(math.exp(math.log(1e300) - 1000))
+        assert logistic_value(p, -701.0) == pytest.approx(1e300 * math.exp(-701))
+        assert logistic_value(p, 1000.0) == 1e300
 
     @given(params_st, st.floats(min_value=-30, max_value=30), st.floats(min_value=1e-6, max_value=10))
     def test_monotone_and_bounded_for_positive_b(self, p, u, dt):

@@ -307,7 +307,7 @@ class TestAlignPair:
     def test_bounds_restrict_the_join(self):
         killer = make_series([(y, 1.0) for y in range(2004, 2019)], "k")
         victim = make_series([(y, 2.0) for y in range(1983, 2019)], "v")
-        rows = align_pair(killer, victim, (2004, 2018))
+        rows = align_pair(killer.restrict((2004, 2018)), victim.restrict((2004, 2018)))
         assert rows == [(y, 1.0, 2.0) for y in range(2004, 2019)]
 
     @given(
