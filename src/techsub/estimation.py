@@ -17,36 +17,26 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
 
 from .errors import EstimationError, ValidationError
 from .growth import LogisticParams, logistic_value
 from .ingest import TimeSeries, align_pair
 
 
-class RegressionFit(NamedTuple):
+class RegressionFit(namedtuple("RegressionFit", "n alpha se_alpha beta se_beta r2 r2_adj "
+                                 "se_estimate f_stat p_value_f p_value_beta xs ys")):
     """Simple linear regression y = alpha + beta*x with full diagnostics.
 
-    se_estimate is the residual standard error; r2_adj penalizes degrees
-    of freedom; f_stat equals the squared slope t statistic (simple
+    n is an int, xs and ys the fitted float tuples, every other field a
+    float. se_estimate is the residual standard error; r2_adj penalizes
+    degrees of freedom; f_stat equals the squared slope t statistic (simple
     regression identity), so the F test and the two-sided slope t test on
     n - 2 degrees of freedom have one p value, stored in both p fields.
     The field order is the report's key order; xs and ys are not reported.
     """
 
-    n: int
-    alpha: float
-    se_alpha: float
-    beta: float
-    se_beta: float
-    r2: float
-    r2_adj: float
-    se_estimate: float
-    f_stat: float
-    p_value_f: float
-    p_value_beta: float
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
+    __slots__ = ()
 
 
 class Regime(str, enum.Enum):
@@ -58,10 +48,10 @@ class Regime(str, enum.Enum):
     DEVELOPMENT = "development"
 
 
-class TTestTolerance(NamedTuple):
+class TTestTolerance(namedtuple("TTestTolerance", "alpha", defaults=(0.05,))):
     """Proportional unless a two-sided t test rejects slope = 1 at level alpha."""
 
-    alpha: float = 0.05
+    __slots__ = ()
 
     def proportional(self, fit: RegressionFit) -> bool:
         if not 0.0 < self.alpha < 1.0:
@@ -69,10 +59,10 @@ class TTestTolerance(NamedTuple):
         return t_tail(_t_ratio(fit.beta - 1.0, fit.se_beta), fit.n - 2) >= self.alpha
 
 
-class AbsoluteTolerance(NamedTuple):
+class AbsoluteTolerance(namedtuple("AbsoluteTolerance", "value", defaults=(0.05,))):
     """Proportional when |slope - 1| is at most value."""
 
-    value: float = 0.05
+    __slots__ = ()
 
     def proportional(self, fit: RegressionFit) -> bool:
         return abs(fit.beta - 1.0) <= self.value
@@ -81,23 +71,19 @@ class AbsoluteTolerance(NamedTuple):
 DEFAULT_TOLERANCE = TTestTolerance()
 
 
-class KillerFit(NamedTuple):
-    """Result of regressing log killer level on log victim level."""
+class KillerFit(namedtuple("KillerFit", "regression regime co_movement years_used n_dropped")):
+    """Result of regressing log killer level on log victim level: the
+    RegressionFit, its Regime, co_movement "direct" or "inverse" (the sign
+    of B), the int years used and the int count of years dropped."""
 
-    regression: RegressionFit
-    regime: Regime
-    co_movement: str
-    years_used: tuple[int, ...]
-    n_dropped: int
+    __slots__ = ()
 
 
-class FisherPryFit(NamedTuple):
-    """Straight-line fit of the log share odds ln(f/(1-f)) against time."""
+class FisherPryFit(namedtuple("FisherPryFit", "slope intercept t_half regression")):
+    """Straight-line fit of the log share odds ln(f/(1-f)) against time:
+    the float slope, intercept and t_half, then the RegressionFit."""
 
-    slope: float
-    intercept: float
-    t_half: float
-    regression: RegressionFit
+    __slots__ = ()
 
 
 # stands in for a zero denominator in the continued fraction (Lentz's method)
@@ -171,7 +157,7 @@ def _t_ratio(estimate: float, se: float) -> float:
     return math.copysign(math.inf, estimate) if estimate else 0.0
 
 
-def exact_ints(values: Sequence[float]) -> tuple[list[int], int]:
+def exact_ints(values: list[float]) -> tuple[list[int], int]:
     """(ints, d) with values[i] == ints[i] / d exactly: every finite float is
     p / 2^k, so one power of two d serves all and every sum is an exact int."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -191,7 +177,7 @@ def sqrt_ratio(p: int, q: int) -> float:
     return (r | (rem > 0 or r * r < n)) / (1 << s)
 
 
-def centred_sums(X: Sequence[int], Y: Sequence[int]) -> tuple[int, int, int, int, int]:
+def centred_sums(X: list[int], Y: list[int]) -> tuple[int, int, int, int, int]:
     """(sx, sy, qxx, qxy, qyy) of equal-length int lists: their exact sums and n
     times their centred sums of squares and products, as qxx = n*sxx - sx^2."""
     n, sx, sy = len(X), sum(X), sum(Y)
@@ -199,7 +185,7 @@ def centred_sums(X: Sequence[int], Y: Sequence[int]) -> tuple[int, int, int, int
             n * sum(u * v for u, v in zip(X, Y)) - sx * sy, n * sum(v * v for v in Y) - sy * sy)
 
 
-def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
+def ols_fit(xs: list[float], ys: list[float]) -> RegressionFit:
     """Ordinary least squares of ys on xs with diagnostics.
 
     Requires n >= 3 (residual degrees of freedom), finite values and
@@ -210,7 +196,7 @@ def ols_fit(xs: Sequence[float], ys: Sequence[float]) -> RegressionFit:
     return _ols(xs, ys)[0]
 
 
-def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[RegressionFit, tuple]:
+def _ols(xs: list[float], ys: list[float]) -> tuple[RegressionFit, tuple]:
     """ols_fit's result and its exact sums (n, dx, sx, sy, qxx, qxy)."""
     x = [float(v) for v in xs]
     y = [float(v) for v in ys]

@@ -13,7 +13,7 @@ allometric power law  killer = A * victim**B  with B = b_killer/b_victim.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -21,7 +21,7 @@ from .errors import ValidationError
 _EXP_LIMIT = 700.0
 
 
-class LogisticParams(NamedTuple("LogisticParams", [("K", float), ("a", float), ("b", float)])):
+class LogisticParams(namedtuple("LogisticParams", "K a b")):
     """Parameters (K, a, b) of one logistic growth curve.
 
     K is the carrying capacity (same units as the series), a the
@@ -48,7 +48,7 @@ class LogisticParams(NamedTuple("LogisticParams", [("K", float), ("a", float), (
         return self.a / self.b
 
 
-class AllometricModel(NamedTuple("AllometricModel", [("A", float), ("B", float), ("C1", float)])):
+class AllometricModel(namedtuple("AllometricModel", "A B C1")):
     """Power-law relation killer = A * victim**B between two levels.
 
     A is the scale constant, B the growth-coefficient exponent

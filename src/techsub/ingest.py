@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParseError, ValidationError
 
 CSV_HEADER = "year,value"
 
 
-class TimeSeries(NamedTuple("TimeSeries", [("name", str), ("unit", str), ("points", tuple)])):
+class TimeSeries(namedtuple("TimeSeries", "name unit points")):
     """Ordered (year, value) observations for one technology measure."""
 
     __slots__ = ()
@@ -151,22 +151,20 @@ def align_pair(killer: TimeSeries, victim: TimeSeries) -> list[tuple[int, float,
     return rows
 
 
-class SeriesRef(NamedTuple):
-    """Manifest entry pointing at one series file."""
+class SeriesRef(namedtuple("SeriesRef", "file name unit", defaults=(None, ""))):
+    """Manifest entry pointing at one series file: its path, the series
+    name (None for the file's stem) and its unit."""
 
-    file: str
-    name: str | None = None
-    unit: str = ""
+    __slots__ = ()
 
 
-class DatasetManifest(NamedTuple):
-    """Describes a dataset: its series files, listed in succession order
-    for wave analytics, and an optional period that restricts them."""
+class DatasetManifest(namedtuple("DatasetManifest", "dataset series period base_dir",
+                                 defaults=((), None, ""))):
+    """Describes a dataset: its name, its SeriesRef tuple, listed in
+    succession order for wave analytics, an optional (first, last) period
+    that restricts them, and the directory their paths are relative to."""
 
-    dataset: str
-    series: tuple[SeriesRef, ...] = ()
-    period: tuple[int, int] | None = None
-    base_dir: str = ""
+    __slots__ = ()
 
     def resolve(self, ref: SeriesRef) -> TimeSeries:
         """The series ref names, restricted to the manifest's period."""

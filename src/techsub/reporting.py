@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 
 from .estimation import FisherPryFit, KillerFit, Regime
@@ -26,10 +27,19 @@ def significance_stars(p_value: float) -> str:
 
 
 def file_digest(path: str | os.PathLike) -> str:
-    import hashlib  # loads OpenSSL: only a digest needs it
-
+    """The file's SHA-256 as hex. CPython's built-in SHA-256 gives hashlib's
+    digest without loading OpenSSL; hashlib serves a build without it. The
+    version picks the one module to try: a failed import is not cached, and
+    would cost each call more than the hash."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+        return sha256(f.read()).hexdigest()
 
 
 def utc_timestamp(ns: int) -> str:

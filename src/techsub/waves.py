@@ -10,16 +10,15 @@ still active). The downwave Z - M is the disruption period.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import groupby
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .estimation import centred_sums, exact_ints, sqrt_ratio
 from .ingest import TimeSeries, align_pair
 
 
-class WaveEvents(NamedTuple("WaveEvents", [("name", str), ("begin_year", int),
-                                           ("peak_year", int), ("end_year", int | None)])):
+class WaveEvents(namedtuple("WaveEvents", "name begin_year peak_year end_year")):
     """Anchor years of one technology's life cycle (the field order is a
     waves report's key order)."""
 
@@ -38,14 +37,12 @@ class WaveEvents(NamedTuple("WaveEvents", [("name", str), ("begin_year", int),
         return self.end_year is not None
 
 
-class WaveMetrics(NamedTuple):
-    """Lengths and phase fractions of one completed wave."""
+class WaveMetrics(namedtuple("WaveMetrics", "upwave_years downwave_years cycle_years "
+                             "upwave_fraction downwave_fraction")):
+    """Lengths in years (ints) and phase fractions (float percentages of the
+    cycle, None for a zero-length cycle) of one completed wave."""
 
-    upwave_years: int
-    downwave_years: int
-    cycle_years: int
-    upwave_fraction: float | None
-    downwave_fraction: float | None
+    __slots__ = ()
 
 
 def extract_wave_events(
@@ -121,15 +118,13 @@ def summarize_waves(
     }
 
 
-class Takeover(NamedTuple):
+class Takeover(namedtuple("Takeover", "year challenger_value established_value "
+                          "established_share_pct")):
     """First year the challenger's level strictly exceeds the established
     technology's, both levels, and the established technology's share of
     their total in percent (the field order is a waves report's key order)."""
 
-    year: int
-    challenger_value: float
-    established_value: float
-    established_share_pct: float
+    __slots__ = ()
 
 
 def takeover_year(new_tech: TimeSeries, established: TimeSeries) -> Takeover | None:
@@ -171,11 +166,11 @@ def _spearman_rho(xs: list[float], ys: list[float]) -> float | None:
     return math.copysign(sqrt_ratio(qxy * qxy, qxx * qyy), qxy)
 
 
-class IntroGapDiagnostic(NamedTuple):
-    """Introduction-gap vs disruption-period pairs with their rank correlation."""
+class IntroGapDiagnostic(namedtuple("IntroGapDiagnostic", "points spearman")):
+    """Introduction-gap vs disruption-period (int, int) pairs with their rank
+    correlation (None when it is undefined)."""
 
-    points: tuple[tuple[int, int], ...]
-    spearman: float | None
+    __slots__ = ()
 
 
 def intro_gap_diagnostic(

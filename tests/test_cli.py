@@ -1041,9 +1041,9 @@ class TestImportBoundary:
     records, the CLI, the SVG escaping, the t test of B = 1, the exact
     regression and wave sums and the report timestamp load none of the
     stdlib modules in HEAVY (added to what the interpreter loaded at
-    start-up), in any command; hashlib loads with the first digest, which
-    simulate never takes. Without site (python -S), no command loads
-    pathlib either."""
+    start-up), in any command; digests use CPython's built-in SHA-256, so
+    no command loads hashlib or OpenSSL's _hashlib. Without site (python
+    -S), no command loads pathlib or typing either."""
 
     HEAVY = (
         "dataclasses", "inspect", "statistics", "fractions", "decimal", "html", "datetime"
@@ -1060,7 +1060,8 @@ class TestImportBoundary:
                 "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
                 "heavy": sorted(m for m in new if m.split(".")[0] in HEAVY),
                 "pathlib": "pathlib" in sys.modules,
-                "hashlib": "hashlib" in new,
+                "hashlib": sorted(m for m in new if m in ("hashlib", "_hashlib")),
+                "typing": "typing" in sys.modules,
             }
         from techsub.cli import main
         stages = [loaded()]
@@ -1116,7 +1117,7 @@ class TestImportBoundary:
         for loaded in stages:
             assert not loaded["numpy"] and not loaded["scipy"]
             assert loaded["heavy"] == []
-        assert [loaded["hashlib"] for loaded in stages] == [False] * 3 + [True] * 4
+        assert [loaded["hashlib"] for loaded in stages] == [[]] * 7
 
     def test_no_command_loads_pathlib_without_site(self, tmp_path):
         """Under -S no .pth file runs, so what is loaded is the package's
@@ -1124,6 +1125,14 @@ class TestImportBoundary:
         stages = self.probe(tmp_path, "-S")
         assert len(stages) == 7
         assert [loaded["pathlib"] for loaded in stages] == [False] * 7
+
+    def test_no_command_loads_typing_without_site(self, tmp_path):
+        """The records are collections.namedtuple subclasses, so under -S
+        nothing loads typing; nor does a digest load hashlib."""
+        stages = self.probe(tmp_path, "-S")
+        assert len(stages) == 7
+        assert [loaded["typing"] for loaded in stages] == [False] * 7
+        assert [loaded["hashlib"] for loaded in stages] == [[]] * 7
 
     def test_cli_import_leaves_out_the_network_stack(self):
         done = run_python(

@@ -1,14 +1,17 @@
+import hashlib
 import json
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import make_series
 from techsub.estimation import KillerFit, Regime, killer_fit, ols_fit
 from techsub.reporting import (
     build_report,
+    file_digest,
     fit_payload,
     regime_narrative,
     render_report,
@@ -91,6 +94,35 @@ def test_narrative_full_text(regime, beta, sentence, co_movement):
     fit = KillerFit(regression, regime, co_movement, (2000, 2001, 2002), 0)
     expected = sentence + (INVERSE_NOTE if co_movement == "inverse" else "")
     assert regime_narrative(fit) == expected
+
+
+class TestFileDigest:
+    """file_digest hashes with CPython's built-in SHA-256 (_sha2 from 3.12,
+    _sha256 before it), hashlib only where neither exists: the same hex."""
+
+    @given(st.binary(max_size=4096))
+    @example(b"")
+    @example(bytes(range(256)) * 257)  # over 64 KiB
+    def test_matches_hashlib(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "digest.bin"
+        path.write_bytes(data)
+        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+    def test_falls_back_to_hashlib(self, tmp_path, monkeypatch):
+        real, called = hashlib.sha256, []
+
+        def spy(data):
+            called.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        data = b"year,value\n2000,1.0\n"
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        assert file_digest(path) == real(data).hexdigest()
+        assert called == [data]
 
 
 class TestBuildReport:
