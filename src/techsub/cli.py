@@ -11,6 +11,7 @@ failure, 5 estimation failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -19,6 +20,7 @@ import sys
 
 from .errors import EstimationError, ParseError, TechsubError, ValidationError
 from .estimation import (
+    DEFAULT_TOLERANCE,
     AbsoluteTolerance,
     TTestTolerance,
     fisher_pry_fit,
@@ -83,70 +85,68 @@ def _file_key(path: str) -> tuple:
     there, or of its directory with its name where there is none yet (a
     symbolic link counts as where it points). Keys are equal where
     os.path.realpath results are, and for hard links too, at a few stat
-    calls rather than one per path component."""
+    calls rather than one per path component. A directory is the
+    IsADirectoryError that opening it for writing would raise."""
+    target = path
     try:
         st = os.lstat(path)
         if stat.S_ISLNK(st.st_mode):
-            path = os.path.realpath(path)
-            st = os.stat(path)
-        return st.st_dev, st.st_ino
+            target = os.path.realpath(path)
+            st = os.stat(target)
     except FileNotFoundError:  # nothing there yet, or a link to nothing
-        head, name = os.path.split(path)
+        head, name = os.path.split(target)
         st = os.stat(head or ".")
         return st.st_dev, st.st_ino, name
+    if stat.S_ISDIR(st.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return st.st_dev, st.st_ino
 
 
-def _distinct_outputs(outputs: list[tuple[str, str | None]], inputs: list[str]) -> None:
-    """Refuse, before any write, two (option, path) outputs that name one
-    file, or an output that names a file the command reads: the write would
-    replace it. An output in a directory that is not there fails here too,
-    with _file_key's OSError. An input that is not there is left to fail
-    when read."""
+def _write(outputs: list[tuple], inputs: list[str]) -> int:
+    """Write each (option, path, text) of outputs, to stdout where path is
+    None or empty, skipping an item whose text is None; then return 0.
+    Nothing is written unless every target passes: two outputs that name
+    one file, or an output that names a file the command read (the write
+    would replace it), are a ValidationError, and an output that is a
+    directory, or in one that is not there, _file_key's OSError."""
+    outputs = [item for item in outputs if item[2] is not None]
     keys = {}
-    for option, path in outputs:
+    for option, path, _ in outputs:
         if not path:
             continue
         key = _file_key(path)
         if key in keys:
             raise ValidationError(f"{keys[key]} and {option} {path} name the same file")
         keys[key] = f"{option} {path}"
-    for path in inputs if keys else ():
-        try:
-            st = os.stat(path)  # the key _file_key gives a file that is there
-        except OSError:
-            continue
-        label = keys.get((st.st_dev, st.st_ino))
+    for path in inputs if keys else ():  # every one was read, so is there
+        label = keys.get(_file_key(path))
         if label:
             raise ValidationError(f"{label} and input {path} name the same file")
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as f:
+    for _, path, text in outputs:
+        if not path:
+            sys.stdout.write(text)
+            continue
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-    else:
-        sys.stdout.write(text)
+    return 0
+
+
+def _plot(path: str | None, fit, **labels) -> str | None:
+    """The SVG of fit's points and fitted line for --plot path, None without
+    one; a plot that cannot be drawn is an EstimationError."""
+    if not path:
+        return None
+    try:
+        return render_scatter(fit.xs, fit.ys, line=(fit.alpha, fit.beta), **labels)
+    except ValueError as exc:
+        raise EstimationError(f"cannot plot: {exc}") from None
 
 
 def _cmd_fit_killer(args) -> int:
-    _distinct_outputs(
-        [("--output", args.output), ("--plot", args.plot)], [args.killer_csv, args.victim_csv]
-    )
     killer, victim = read_series(args.killer_csv), read_series(args.victim_csv)
     fit = killer_fit(
         killer.restrict(args.period), victim.restrict(args.period), policy=args.regime_tolerance
     )
-    # rendered before the first write, as in fisher-pry
-    svg = args.plot and render_scatter(
-        fit.regression.xs,
-        fit.regression.ys,
-        title=f"{killer.name} vs {victim.name} (log-log)",
-        xlabel=f"ln {victim.name} level",
-        ylabel=f"ln {killer.name} level",
-        line=(fit.regression.alpha, fit.regression.beta),
-        annotation=f"B = {fit.regression.beta:.3f}",
-    )
-
     warnings = []
     if fit.n_dropped:
         warnings.append(
@@ -161,31 +161,23 @@ def _cmd_fit_killer(args) -> int:
         warnings=warnings,
         timestamp=not args.no_timestamp,
     )
-    _emit(render_report(report), args.output)
-    if svg:
-        _emit(svg, args.plot)
-    return 0
+    svg = _plot(
+        args.plot,
+        fit.regression,
+        title=f"{killer.name} vs {victim.name} (log-log)",
+        xlabel=f"ln {victim.name} level",
+        ylabel=f"ln {killer.name} level",
+        annotation=f"B = {fit.regression.beta:.3f}",
+    )
+    return _write(
+        [("--output", args.output, render_report(report)), ("--plot", args.plot, svg)],
+        [args.killer_csv, args.victim_csv],
+    )
 
 
 def _cmd_fisher_pry(args) -> int:
-    _distinct_outputs([("--output", args.output), ("--plot", args.plot)], [args.shares_csv])
     shares = read_series(args.shares_csv).restrict(args.period)
     fit = fisher_pry_fit(shares)
-    # rendered first, so a plot that cannot be drawn leaves no report behind
-    try:
-        svg = args.plot and render_scatter(
-            fit.regression.xs,
-            fit.regression.ys,
-            title=f"{shares.name}: share substitution",
-            xlabel="year",
-            ylabel="ln(f / (1 - f))",
-            line=(fit.intercept, fit.slope),
-            annotation=f"slope = {fit.slope:.4f} per year",
-            vline=(fit.t_half, f"t_half = {fit.t_half:.2f}"),
-        )
-    except ValueError as exc:
-        raise EstimationError(f"cannot plot: {exc}") from None
-
     report = build_report(
         command="fisher-pry",
         dataset=shares.name,
@@ -198,10 +190,19 @@ def _cmd_fisher_pry(args) -> int:
         ),
         timestamp=not args.no_timestamp,
     )
-    _emit(render_report(report), args.output)
-    if svg:
-        _emit(svg, args.plot)
-    return 0
+    svg = _plot(
+        args.plot,
+        fit.regression,
+        title=f"{shares.name}: share substitution",
+        xlabel="year",
+        ylabel="ln(f / (1 - f))",
+        annotation=f"slope = {fit.slope:.4f} per year",
+        vline=(fit.t_half, f"t_half = {fit.t_half:.2f}"),
+    )
+    return _write(
+        [("--output", args.output, render_report(report)), ("--plot", args.plot, svg)],
+        [args.shares_csv],
+    )
 
 
 def _cmd_waves(args) -> int:
@@ -210,10 +211,6 @@ def _cmd_waves(args) -> int:
         raise ValidationError(
             f"{args.manifest}: manifest lists no series (nothing to analyze)"
         )
-    _distinct_outputs(
-        [("--output", args.output)],
-        [args.manifest, *(os.path.join(manifest.base_dir, ref.file) for ref in manifest.series)],
-    )
 
     warnings = []
     waves = []  # (series, events), manifest order
@@ -242,8 +239,10 @@ def _cmd_waves(args) -> int:
         warnings=warnings + pair_warnings,
         timestamp=not args.no_timestamp,
     )
-    _emit(render_report(report), args.output)
-    return 0
+    return _write(
+        [("--output", args.output, render_report(report))],
+        [args.manifest, *map(manifest._path, manifest.series)],
+    )
 
 
 def _load_sim_params(path: str) -> dict:
@@ -254,9 +253,9 @@ def _load_sim_params(path: str) -> dict:
     return doc
 
 
-def _sim_series(
-    spec: dict, role: str, years, sigma: float, rng
-) -> tuple[TimeSeries, LogisticParams]:
+def _sim_csv(spec: dict, role: str, years, sigma: float, seed: int, rng) -> str:
+    """The CSV text of one simulated series, behind a comment that records
+    its parameters."""
     if not isinstance(spec, dict):
         raise ParseError(f"{role} parameters must be an object, got {spec!r}")
     try:
@@ -271,26 +270,20 @@ def _sim_series(
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
         try:
-            values = [v * math.exp(sigma * rng.gauss(0.0, 1.0)) for v in values]
+            factors = [math.exp(sigma * rng.gauss(0.0, 1.0)) for _ in values]
+            if math.inf in factors:  # sigma * z past the float range: exp(inf) does not raise
+                raise OverflowError
         except OverflowError:
             raise ValidationError(f"noise_sigma {sigma} draws a noise factor past the float range")
-    return TimeSeries(name=name, unit=unit, points=tuple(zip(years, values))), params
-
-
-def _write_sim_csv(path: str, series: TimeSeries, params, sigma, seed) -> None:
-    comment = (
-        f"# simulated logistic series {series.name!r}: "
-        f"K={params.K!r}, a={params.a!r}, b={params.b!r}, "
-        f"noise_sigma={sigma!r}, seed={seed}\n"
+        values = [v * f for v, f in zip(values, factors)]
+    series = TimeSeries(name=name, unit=unit, points=tuple(zip(years, values)))
+    return (
+        f"# simulated logistic series {name!r}: K={K!r}, a={a!r}, b={b!r}, "
+        f"noise_sigma={sigma!r}, seed={seed}\n" + serialize_series(series)
     )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(comment + serialize_series(series))
 
 
 def _cmd_simulate(args) -> int:
-    _distinct_outputs(
-        [("--killer-out", args.killer_out), ("--victim-out", args.victim_out)], [args.params]
-    )
     doc = _load_sim_params(args.params)
     first, last = json_year_range(doc, "years", args.params)
     years = list(range(first, last + 1))
@@ -306,15 +299,14 @@ def _cmd_simulate(args) -> int:
 
         rng = random.Random(seed)
 
-    victim, victim_params = _sim_series(doc["victim"], "victim", years, sigma, rng)
-    killer, killer_params = _sim_series(doc["killer"], "killer", years, sigma, rng)
-    _write_sim_csv(args.victim_out, victim, victim_params, sigma, seed)
-    _write_sim_csv(args.killer_out, killer, killer_params, sigma, seed)
-    sys.stdout.write(
-        f"wrote {args.victim_out} ({len(victim)} rows) and "
-        f"{args.killer_out} ({len(killer)} rows)\n"
+    victim = _sim_csv(doc["victim"], "victim", years, sigma, seed, rng)
+    killer = _sim_csv(doc["killer"], "killer", years, sigma, seed, rng)
+    rows = f"({len(years)} rows)"
+    return _write(
+        [("--killer-out", args.killer_out, killer), ("--victim-out", args.victim_out, victim),
+         ("stdout", None, f"wrote {args.victim_out} {rows} and {args.killer_out} {rows}\n")],
+        [args.params],
     )
-    return 0
 
 
 COMMANDS = {
@@ -370,7 +362,7 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument(
         "--regime-tolerance",
         type=_parse_tolerance,
-        default=TTestTolerance(),
+        default=DEFAULT_TOLERANCE,
         metavar="{ttest|abs:X}",
         help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
     )

@@ -166,10 +166,13 @@ class DatasetManifest(namedtuple("DatasetManifest", "dataset series period base_
 
     __slots__ = ()
 
+    def _path(self, ref: SeriesRef) -> str:
+        """The path of ref's file: its 'file' joined to the manifest's directory."""
+        return os.path.join(self.base_dir, ref.file)
+
     def resolve(self, ref: SeriesRef) -> TimeSeries:
         """The series ref names, restricted to the manifest's period."""
-        path = os.path.join(self.base_dir, ref.file)
-        return read_series(path, name=ref.name, unit=ref.unit).restrict(self.period)
+        return read_series(self._path(ref), name=ref.name, unit=ref.unit).restrict(self.period)
 
 
 def _series_ref(obj) -> SeriesRef:
@@ -184,11 +187,12 @@ def _series_ref(obj) -> SeriesRef:
 def read_json_object(path: str | os.PathLike, root: str) -> dict:
     """Parse a UTF-8 JSON file whose root must be an object (root names the
     file in that error). Whatever the decoder or json.loads refuses, any
-    ValueError such as a bad byte or an over-long integer, is a ParseError."""
+    ValueError such as a bad byte or an over-long integer, or the
+    RecursionError of nesting too deep for the parser, is a ParseError."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.loads(f.read())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         line = getattr(exc, "lineno", None)
         raise ParseError(f"{path}: invalid JSON ({exc})", line=line)
     if not isinstance(doc, dict):

@@ -502,6 +502,57 @@ class TestExitCodes:
         assert err.startswith("techsub: i/o error: ")
         assert not victim_csv.exists()
 
+    def test_fit_killer_plot_on_a_directory_writes_no_report(
+        self, run_cli, power_law_pair, tmp_path, monkeypatch
+    ):
+        """A directory is refused before the first write, with the text that
+        writing to it would give."""
+        killer_csv, victim_csv = power_law_pair
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        code, out, err = run_cli(
+            "fit-killer", killer_csv, victim_csv, "--output", "r.json", "--plot", "adir"
+        )
+        assert (code, out) == (3, "")
+        assert err == "techsub: i/o error: [Errno 21] Is a directory: 'adir'\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_simulate_killer_out_on_a_directory_writes_no_victim(self, run_cli, tmp_path):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 54},
+        }))
+        victim_csv = tmp_path / "v.csv"
+        code, out, err = run_cli(
+            "simulate", params, "--killer-out", tmp_path, "--victim-out", victim_csv
+        )
+        assert (code, out) == (3, "")
+        assert err == f"techsub: i/o error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not victim_csv.exists()
+
+    @pytest.mark.parametrize("command", ["fisher-pry", "waves"])
+    @pytest.mark.parametrize("spelling", ["directory", "symbolic link to one"])
+    def test_output_on_a_directory_is_io_failure(self, run_cli, tmp_path, command, spelling):
+        """Nothing is written, to stdout or to fisher-pry's --output before
+        its --plot; a link counts as where it points."""
+        target = tmp_path / "d"
+        target.mkdir()
+        if spelling != "directory":
+            (tmp_path / "link").symlink_to(target)
+            target = tmp_path / "link"
+        report = tmp_path / "r.json"
+        if command == "waves":
+            argv = [constant_gap_manifest(tmp_path), "--output", target]
+        else:
+            shares = write_csv(tmp_path / "s.csv", [(1, 0.2), (2, 0.5), (3, 0.8)])
+            argv = [shares, "--output", report, "--plot", target]
+        code, out, err = run_cli(command, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"techsub: i/o error: [Errno 21] Is a directory: '{target}'\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -741,6 +792,16 @@ class TestWaves:
         assert code == 3
         assert err.startswith("techsub: parse error: ") and message in err
         assert out == ""
+
+    def test_deeply_nested_manifest_is_parse_failure(self, run_cli, tmp_path):
+        """Nesting too deep for json.loads is a parse failure, not a traceback."""
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[" * 200_000)
+        code, out, err = run_cli("waves", manifest)
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            f"techsub: parse error: {manifest}: invalid JSON (maximum recursion depth exceeded"
+        )
 
     def test_manifest_without_series_is_validation_failure(self, run_cli, tmp_path):
         manifest = write_manifest(tmp_path / "m.json", {"dataset": "empty"})
@@ -993,6 +1054,34 @@ class TestSimulate:
             "range\n"
         )
         assert not (tmp_path / "v.csv").exists() and not (tmp_path / "k.csv").exists()
+
+    def test_infinite_noise_factor_names_noise_sigma(self, run_cli, tmp_path):
+        """noise_sigma * z overflows to inf for seed 2's first draw, and
+        exp(inf) is inf rather than an OverflowError."""
+        params = self.params_file(
+            tmp_path, years={"first": 0, "last": 0}, noise_sigma=1e308, seed=2
+        )
+        k_csv, v_csv = tmp_path / "k.csv", tmp_path / "v.csv"
+        code, out, err = run_cli("simulate", params, "--killer-out", k_csv, "--victim-out", v_csv)
+        assert (code, out) == (4, "")
+        assert err == (
+            "techsub: validation error: noise_sigma 1e+308 draws a noise factor past the float "
+            "range\n"
+        )
+        assert not k_csv.exists() and not v_csv.exists()
+
+    def test_deeply_nested_params_are_parse_failure(self, run_cli, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text("[" * 200_000)
+        k_csv = tmp_path / "k.csv"
+        code, out, err = run_cli(
+            "simulate", params, "--killer-out", k_csv, "--victim-out", tmp_path / "v.csv"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            f"techsub: parse error: {params}: invalid JSON (maximum recursion depth exceeded"
+        )
+        assert not k_csv.exists()
 
     def test_invalid_params_rejected(self, run_cli, tmp_path):
         params = self.params_file(tmp_path, killer={"K": -5.0, "a": 0.0, "b": 1.0})
