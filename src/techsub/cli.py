@@ -215,11 +215,14 @@ def _cmd_waves(args) -> int:
     warnings = []
     waves = []  # (series, events), manifest order
     for ref in manifest.series:
+        prefix = ""  # read_series's errors name the file's joined path already
         try:
-            series = manifest.resolve(ref)
+            series = read_series(manifest._path(ref), ref.name, ref.unit)
+            prefix = f"{ref.file}: "
+            series = series.restrict(manifest.period)
             waves.append((series, extract_wave_events(series, args.threshold)))
         except (ParseError, ValidationError) as exc:
-            warnings.append(f"{ref.file}: {exc}")
+            warnings.append(prefix + str(exc))
     if not waves:
         raise ValidationError(
             f"{args.manifest}: no series could be analyzed: {'; '.join(warnings)}"
@@ -271,11 +274,14 @@ def _sim_csv(spec: dict, role: str, years, sigma: float, seed: int, rng) -> str:
     if sigma > 0.0:
         try:
             factors = [math.exp(sigma * rng.gauss(0.0, 1.0)) for _ in values]
-            if math.inf in factors:  # sigma * z past the float range: exp(inf) does not raise
+            if math.inf in factors or 0.0 in factors:  # exp(inf) and an underflow do not raise
                 raise OverflowError
         except OverflowError:
             raise ValidationError(f"noise_sigma {sigma} draws a noise factor past the float range")
         values = [v * f for v, f in zip(values, factors)]
+    if 0.0 in values:  # a logistic level is positive: the curve or its noise underflowed
+        year = years[values.index(0.0)]
+        raise ValidationError(f"series {name!r}: simulated level underflows to 0.0 at year {year}")
     series = TimeSeries(name=name, unit=unit, points=tuple(zip(years, values)))
     return (
         f"# simulated logistic series {name!r}: K={K!r}, a={a!r}, b={b!r}, "

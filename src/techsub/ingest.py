@@ -123,7 +123,8 @@ def read_series(path: str | os.PathLike, name: str | None = None, unit: str = ""
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc})")
     except (ParseError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}")
+        exc.args = (f"{path}: {exc}",)  # 'path: line 3: ...', its type and line kept
+        raise
 
 
 def serialize_series(series: TimeSeries) -> str:
@@ -193,8 +194,9 @@ def read_json_object(path: str | os.PathLike, root: str) -> dict:
         with open(path, encoding="utf-8") as f:
             doc = json.loads(f.read())
     except (ValueError, RecursionError) as exc:
-        line = getattr(exc, "lineno", None)
-        raise ParseError(f"{path}: invalid JSON ({exc})", line=line)
+        error = ParseError(f"invalid JSON ({exc})", line=getattr(exc, "lineno", None))
+        error.args = (f"{path}: {error}",)  # as read_series: the path, then the line
+        raise error
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: {root} root must be an object")
     return doc

@@ -11,7 +11,6 @@ import math
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import write_csv, write_manifest
@@ -26,6 +25,8 @@ from techsub.estimation import (
 )
 from techsub.growth import LogisticParams, allometric_constants, logistic_value
 from techsub.ingest import TimeSeries, read_series
+
+np = pytest.importorskip("numpy")
 
 REPLICATION_DIR = Path(__file__).resolve().parent.parent / "data" / "replication"
 
@@ -206,6 +207,7 @@ def test_criterion_4_generative_self_consistency(run_cli, tmp_path):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_5_logistic_recovery():
     cases = [
         (100.0, 5.0, 0.5, 0, 20),

@@ -242,9 +242,7 @@ class TestExitCodes:
         write_manifest(tmp_path / "m.json", {"series": [{"file": "bad.csv"}, {"file": "ok.csv"}]})
         code, out, _ = run_cli("waves", "./m.json", "--no-timestamp")
         assert code == 0
-        assert json.loads(out)["warnings"] == [
-            "bad.csv: ./bad.csv: line 2: year is not an integer: 'xx'"
-        ]
+        assert json.loads(out)["warnings"] == ["./bad.csv: line 2: year is not an integer: 'xx'"]
 
     def test_malformed_csv_is_parse_failure(self, run_cli, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -1067,6 +1065,34 @@ class TestSimulate:
         assert err == (
             "techsub: validation error: noise_sigma 1e+308 draws a noise factor past the float "
             "range\n"
+        )
+        assert not k_csv.exists() and not v_csv.exists()
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_underflowing_noise_factor_names_noise_sigma(self, run_cli, tmp_path, seed):
+        """exp(1000 * z) is 0.0 for the victim's draw at seed 5 and the
+        killer's at seed 6; a logistic level is never 0."""
+        params = self.params_file(
+            tmp_path, years={"first": 0, "last": 0}, noise_sigma=1000, seed=seed
+        )
+        k_csv, v_csv = tmp_path / "k.csv", tmp_path / "v.csv"
+        code, out, err = run_cli("simulate", params, "--killer-out", k_csv, "--victim-out", v_csv)
+        assert (code, out) == (4, "")
+        assert err == (
+            "techsub: validation error: noise_sigma 1000.0 draws a noise factor past the float "
+            "range\n"
+        )
+        assert not k_csv.exists() and not v_csv.exists()
+
+    def test_underflowing_curve_names_the_series_and_year(self, run_cli, tmp_path):
+        params = self.params_file(tmp_path, victim={"K": 1e-300, "a": 100, "b": 1},
+                                  years={"first": 0, "last": 1})
+        k_csv, v_csv = tmp_path / "k.csv", tmp_path / "v.csv"
+        code, out, err = run_cli("simulate", params, "--killer-out", k_csv, "--victim-out", v_csv)
+        assert (code, out) == (4, "")
+        assert err == (
+            "techsub: validation error: series 'victim': simulated level underflows to 0.0 at "
+            "year 0\n"
         )
         assert not k_csv.exists() and not v_csv.exists()
 

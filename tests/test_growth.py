@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -13,6 +12,8 @@ from techsub.growth import (
     allometric_constants,
     logistic_value,
 )
+
+np = pytest.importorskip("numpy")
 
 capacities = st.floats(min_value=1e-3, max_value=1e9)
 locations = st.floats(min_value=-50.0, max_value=50.0)

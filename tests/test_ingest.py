@@ -14,6 +14,7 @@ from techsub.ingest import (
     align_pair,
     load_manifest,
     parse_series,
+    read_json_object,
     read_series,
     serialize_series,
 )
@@ -421,6 +422,35 @@ class TestManifest:
         )
         with pytest.raises(ValidationError, match="first"):
             load_manifest(path)
+
+
+class TestErrorsNameTheFile:
+    """A reader's error puts the path first, then the line of a parse
+    error, which it keeps as ParseError.line."""
+
+    def test_read_series(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("year,value\n1920,246\nxx,300\n")
+        with pytest.raises(ParseError) as info:
+            read_series(path)
+        assert str(info.value) == f"{path}: line 3: year is not an integer: 'xx'"
+        assert info.value.line == 3
+        path.write_text("year,value\n1920,246\n1920,300\n")
+        with pytest.raises(ValidationError) as info:
+            read_series(path)
+        assert str(info.value) == (
+            f"{path}: series 'm': years must be strictly increasing (1920 follows 1920)"
+        )
+
+    def test_read_json_object(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{\n"a": 1,\n"b": }\n')
+        with pytest.raises(ParseError) as info:
+            read_json_object(path, "manifest")
+        assert str(info.value) == (
+            f"{path}: line 3: invalid JSON (Expecting value: line 3 column 6 (char 15))"
+        )
+        assert info.value.line == 3
 
 
 STEMS = [
