@@ -18,7 +18,6 @@ from .estimation import (
     fisher_pry_fit,
     killer_fit,
     logistic_fit,
-    logistic_sse,
     ols_fit,
 )
 from .growth import (
@@ -80,7 +79,6 @@ __all__ = [
     "killer_fit",
     "load_manifest",
     "logistic_fit",
-    "logistic_sse",
     "logistic_value",
     "ols_fit",
     "parse_series",

@@ -28,8 +28,8 @@ from .estimation import (
 )
 from .growth import LogisticParams, logistic_value
 from .ingest import (
-    TimeSeries, json_number, json_year_range, load_manifest, read_json_object, read_series,
-    serialize_series,
+    TimeSeries, file_stem, json_number, json_object, json_year_range, parse_manifest,
+    parse_series, read_input, read_series, serialize_series,
 )
 from .reporting import (
     VERSION,
@@ -143,7 +143,8 @@ def _plot(path: str | None, fit, **labels) -> str | None:
 
 
 def _cmd_fit_killer(args) -> int:
-    killer, victim = read_series(args.killer_csv), read_series(args.victim_csv)
+    killer, killer_data = read_input(args.killer_csv, parse_series, file_stem(args.killer_csv))
+    victim, victim_data = read_input(args.victim_csv, parse_series, file_stem(args.victim_csv))
     fit = killer_fit(
         killer.restrict(args.period), victim.restrict(args.period), policy=args.regime_tolerance
     )
@@ -156,7 +157,7 @@ def _cmd_fit_killer(args) -> int:
         command="fit-killer",
         dataset=f"{killer.name} (killer) vs {victim.name} (victim)",
         payload=fit_payload("log(killer) = alpha + B*log(victim)", fit),
-        inputs=[args.killer_csv, args.victim_csv],
+        inputs=[(args.killer_csv, killer_data), (args.victim_csv, victim_data)],
         narrative=regime_narrative(fit),
         warnings=warnings,
         timestamp=not args.no_timestamp,
@@ -176,13 +177,14 @@ def _cmd_fit_killer(args) -> int:
 
 
 def _cmd_fisher_pry(args) -> int:
-    shares = read_series(args.shares_csv).restrict(args.period)
+    shares, data = read_input(args.shares_csv, parse_series, file_stem(args.shares_csv))
+    shares = shares.restrict(args.period)
     fit = fisher_pry_fit(shares)
     report = build_report(
         command="fisher-pry",
         dataset=shares.name,
         payload=fit_payload("ln(f/(1-f)) = intercept + slope*year", fit),
-        inputs=[args.shares_csv],
+        inputs=[(args.shares_csv, data)],
         narrative=(
             f"Fitted share odds {'double' if fit.slope > 0 else 'halve'} every "
             f"{math.log(2) / abs(fit.slope):.2f} years; half-substitution at year "
@@ -206,7 +208,7 @@ def _cmd_fisher_pry(args) -> int:
 
 
 def _cmd_waves(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest, data = read_input(args.manifest, parse_manifest, args.manifest)
     if not manifest.series:
         raise ValidationError(
             f"{args.manifest}: manifest lists no series (nothing to analyze)"
@@ -217,7 +219,7 @@ def _cmd_waves(args) -> int:
     for ref in manifest.series:
         prefix = ""  # read_series's errors name the file's joined path already
         try:
-            series = read_series(manifest._path(ref), ref.name, ref.unit)
+            series = read_series(manifest.path(ref), ref.name, ref.unit)
             prefix = f"{ref.file}: "
             series = series.restrict(manifest.period)
             waves.append((series, extract_wave_events(series, args.threshold)))
@@ -234,7 +236,7 @@ def _cmd_waves(args) -> int:
         command="waves",
         dataset=manifest.dataset,
         payload=payload,
-        inputs=[args.manifest],
+        inputs=[(args.manifest, data)],
         narrative=(
             f"{summary['n_waves']} completed wave(s) summarized, "
             f"{summary['n_excluded']} still in progress (flagged '*')."
@@ -244,32 +246,44 @@ def _cmd_waves(args) -> int:
     )
     return _write(
         [("--output", args.output, render_report(report))],
-        [args.manifest, *map(manifest._path, manifest.series)],
+        [args.manifest, *map(manifest.path, manifest.series)],
     )
 
 
-def _load_sim_params(path: str) -> dict:
-    doc = read_json_object(path, "parameter file")
+def _sim_params(text: str) -> tuple:
+    """Every check of a parameter file's text: (years as a range, noise_sigma,
+    seed, a (name, unit, LogisticParams) per series, victim first)."""
+    doc = json_object(text, "parameter file")
     for key in ("victim", "killer", "years"):
         if key not in doc:
-            raise ParseError(f"{path}: missing required key {key!r}")
-    return doc
+            raise ParseError(f"missing required key {key!r}")
+    first, last = json_year_range(doc, "years")
+    sigma = json_number(doc.get("noise_sigma", 0.0), "noise_sigma")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
+    seed = json_number(doc.get("seed", 0), "seed", integer=True)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    specs = []
+    for role in ("victim", "killer"):
+        spec = doc[role]
+        if not isinstance(spec, dict):
+            raise ParseError(f"{role} parameters must be an object, got {spec!r}")
+        try:
+            K, a, b = (json_number(spec[k], f"{role} {k}") for k in "Kab")
+        except KeyError as exc:
+            raise ParseError(f"{role} parameters missing key {exc}")
+        name, unit = spec.get("name", role), spec.get("unit", "")
+        for key, text in (("name", name), ("unit", unit)):
+            if not isinstance(text, str):
+                raise ParseError(f"{role} {key} must be a string, got {text!r}")
+        specs.append((name, unit, LogisticParams(K=K, a=a, b=b)))
+    return range(first, last + 1), sigma, seed, specs
 
 
-def _sim_csv(spec: dict, role: str, years, sigma: float, seed: int, rng) -> str:
+def _sim_csv(name: str, unit: str, params, years, sigma: float, seed: int, rng) -> str:
     """The CSV text of one simulated series, behind a comment that records
     its parameters."""
-    if not isinstance(spec, dict):
-        raise ParseError(f"{role} parameters must be an object, got {spec!r}")
-    try:
-        K, a, b = (json_number(spec[k], f"{role} {k}") for k in "Kab")
-    except KeyError as exc:
-        raise ParseError(f"{role} parameters missing key {exc}")
-    name, unit = spec.get("name", role), spec.get("unit", "")
-    for key, text in (("name", name), ("unit", unit)):
-        if not isinstance(text, str):
-            raise ParseError(f"{role} {key} must be a string, got {text!r}")
-    params = LogisticParams(K=K, a=a, b=b)
     values = [logistic_value(params, t) for t in years]
     if sigma > 0.0:
         try:
@@ -284,29 +298,20 @@ def _sim_csv(spec: dict, role: str, years, sigma: float, seed: int, rng) -> str:
         raise ValidationError(f"series {name!r}: simulated level underflows to 0.0 at year {year}")
     series = TimeSeries(name=name, unit=unit, points=tuple(zip(years, values)))
     return (
-        f"# simulated logistic series {name!r}: K={K!r}, a={a!r}, b={b!r}, "
-        f"noise_sigma={sigma!r}, seed={seed}\n" + serialize_series(series)
+        f"# simulated logistic series {name!r}: K={params.K!r}, a={params.a!r}, "
+        f"b={params.b!r}, noise_sigma={sigma!r}, seed={seed}\n" + serialize_series(series)
     )
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_sim_params(args.params)
-    first, last = json_year_range(doc, "years", args.params)
-    years = list(range(first, last + 1))
-    sigma = json_number(doc.get("noise_sigma", 0.0), f"{args.params}: noise_sigma")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError(f"noise_sigma must be finite and >= 0, got {sigma}")
-    seed = json_number(doc.get("seed", 0), f"{args.params}: seed", integer=True)
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    years, sigma, seed, specs = read_input(args.params, _sim_params)[0]
     rng = None
     if sigma > 0.0:
         import random
 
         rng = random.Random(seed)
 
-    victim = _sim_csv(doc["victim"], "victim", years, sigma, seed, rng)
-    killer = _sim_csv(doc["killer"], "killer", years, sigma, seed, rng)
+    victim, killer = (_sim_csv(*spec, years, sigma, seed, rng) for spec in specs)
     rows = f"({len(years)} rows)"
     return _write(
         [("--killer-out", args.killer_out, killer), ("--victim-out", args.victim_out, victim),

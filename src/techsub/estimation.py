@@ -20,7 +20,7 @@ import sys
 from collections import namedtuple
 
 from .errors import EstimationError, ValidationError
-from .growth import LogisticParams, logistic_value
+from .growth import LogisticParams
 from .ingest import TimeSeries, align_pair
 
 
@@ -370,11 +370,6 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     if b == 0.0:
         raise EstimationError("degenerate fit: zero growth rate")
     return LogisticParams(K=v_max + float(gaps[best]), a=a, b=b)
-
-
-def logistic_sse(params: LogisticParams, series: TimeSeries) -> float:
-    """Sum of squared level residuals of a logistic curve over a series."""
-    return sum((v - logistic_value(params, y)) ** 2 for y, v in series.points)
 
 
 def fisher_pry_fit(shares: TimeSeries) -> FisherPryFit:

@@ -109,22 +109,32 @@ def parse_series(text: str, name: str = "series", unit: str = "") -> TimeSeries:
     return TimeSeries(name=name, unit=unit, points=tuple(points))
 
 
-def _stem(path: str | os.PathLike) -> str:
+def file_stem(path: str | os.PathLike) -> str:
     """The base name less its last suffix, of which '.hidden' and 'x.' have none."""
     name = os.path.basename(path)
     i = name.rfind(".")
     return name[:i] if 0 < i < len(name) - 1 else name
 
 
-def read_series(path: str | os.PathLike, name: str | None = None, unit: str = "") -> TimeSeries:
+def read_input(path: str | os.PathLike, parse, *args):
+    """(parse(text, *args), data): data is the file's bytes, read once, and
+    text their UTF-8 decoding with CRLF and CR read as LF, as text mode reads
+    them. Bytes that are not UTF-8, a ParseError and a ValidationError put
+    the path once before the message, keeping ParseError.line."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return parse_series(f.read(), name=name or _stem(path), unit=unit)
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return parse(text, *args), data
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc})")
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
     except (ParseError, ValidationError) as exc:
         exc.args = (f"{path}: {exc}",)  # 'path: line 3: ...', its type and line kept
         raise
+
+
+def read_series(path: str | os.PathLike, name: str | None = None, unit: str = "") -> TimeSeries:
+    return read_input(path, parse_series, name or file_stem(path), unit)[0]
 
 
 def serialize_series(series: TimeSeries) -> str:
@@ -167,13 +177,9 @@ class DatasetManifest(namedtuple("DatasetManifest", "dataset series period base_
 
     __slots__ = ()
 
-    def _path(self, ref: SeriesRef) -> str:
+    def path(self, ref: SeriesRef) -> str:
         """The path of ref's file: its 'file' joined to the manifest's directory."""
         return os.path.join(self.base_dir, ref.file)
-
-    def resolve(self, ref: SeriesRef) -> TimeSeries:
-        """The series ref names, restricted to the manifest's period."""
-        return read_series(self._path(ref), name=ref.name, unit=ref.unit).restrict(self.period)
 
 
 def _series_ref(obj) -> SeriesRef:
@@ -185,20 +191,17 @@ def _series_ref(obj) -> SeriesRef:
     return SeriesRef(file=obj["file"], name=obj.get("name"), unit=obj.get("unit", ""))
 
 
-def read_json_object(path: str | os.PathLike, root: str) -> dict:
-    """Parse a UTF-8 JSON file whose root must be an object (root names the
-    file in that error). Whatever the decoder or json.loads refuses, any
-    ValueError such as a bad byte or an over-long integer, or the
-    RecursionError of nesting too deep for the parser, is a ParseError."""
+def json_object(text: str, root: str) -> dict:
+    """Parse JSON text whose root must be an object (root names the file in
+    that error). Whatever json.loads refuses, any ValueError such as an
+    over-long integer, or the RecursionError of nesting too deep for the
+    parser, is a ParseError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.loads(f.read())
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        error = ParseError(f"invalid JSON ({exc})", line=getattr(exc, "lineno", None))
-        error.args = (f"{path}: {error}",)  # as read_series: the path, then the line
-        raise error
+        raise ParseError(f"invalid JSON ({exc})", line=getattr(exc, "lineno", None)) from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: {root} root must be an object")
+        raise ParseError(f"{root} root must be an object")
     return doc
 
 
@@ -220,29 +223,33 @@ def json_number(value, what: str, integer: bool = False):
         raise ParseError(f"{what} is too large for a float")
 
 
-def json_year_range(doc: dict, key: str, path) -> tuple[int, int]:
+def json_year_range(doc: dict, key: str) -> tuple[int, int]:
     """doc[key] as a (first, last) year range: a ParseError unless it is an
     object of two integers 'first' and 'last', a ValidationError if empty."""
     span = doc[key]
     if not isinstance(span, dict) or "first" not in span or "last" not in span:
-        raise ParseError(f"{path}: {key!r} must hold integer 'first' and 'last'")
-    first, last = (
-        json_number(span[k], f"{path}: {key} {k}", integer=True) for k in ("first", "last")
-    )
+        raise ParseError(f"{key!r} must hold integer 'first' and 'last'")
+    first, last = (json_number(span[k], f"{key} {k}", integer=True) for k in ("first", "last"))
     if first > last:
-        raise ValidationError(f"{path}: {key}: empty year range {first}:{last} (first > last)")
+        raise ValidationError(f"{key}: empty year range {first}:{last} (first > last)")
     return first, last
 
 
-def load_manifest(path: str | os.PathLike) -> DatasetManifest:
-    """Load and validate a JSON dataset manifest (schema in the README)."""
-    doc = read_json_object(path, "manifest")
-    period = json_year_range(doc, "period", path) if "period" in doc else None
-    dataset = doc.get("dataset", _stem(path))
+def parse_manifest(text: str, path: str | os.PathLike) -> DatasetManifest:
+    """Parse the JSON dataset manifest (schema in the README) read from
+    path, which names the dataset by default and holds the series files."""
+    doc = json_object(text, "manifest")
+    period = json_year_range(doc, "period") if "period" in doc else None
+    dataset = doc.get("dataset", file_stem(path))
     if not isinstance(dataset, str):
-        raise ParseError(f"{path}: 'dataset' must be a string, got {dataset!r}")
+        raise ParseError(f"'dataset' must be a string, got {dataset!r}")
     series = doc.get("series", [])
     if not isinstance(series, list):
-        raise ParseError(f"{path}: 'series' must be a list, got {series!r}")
+        raise ParseError(f"'series' must be a list, got {series!r}")
     refs = tuple(_series_ref(entry) for entry in series)
     return DatasetManifest(dataset, refs, period, os.path.dirname(path))
+
+
+def load_manifest(path: str | os.PathLike) -> DatasetManifest:
+    """Load and validate a JSON dataset manifest."""
+    return read_input(path, parse_manifest, path)[0]

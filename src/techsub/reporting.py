@@ -26,22 +26,6 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-def file_digest(path: str | os.PathLike) -> str:
-    """The file's SHA-256 as hex. CPython's built-in SHA-256 gives hashlib's
-    digest without loading OpenSSL; hashlib serves a build without it. The
-    version picks the one module to try: a failed import is not cached, and
-    would cost each call more than the hash."""
-    try:
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-    with open(path, "rb") as f:
-        return sha256(f.read()).hexdigest()
-
-
 def utc_timestamp(ns: int) -> str:
     """An instant, in ns since the epoch, as datetime's UTC isoformat() text
     (microseconds floored as datetime.now floors them, and left out when
@@ -92,7 +76,7 @@ def build_report(
     command: str,
     dataset: str,
     payload: dict,
-    inputs: list[str | os.PathLike],
+    inputs: list[tuple[str | os.PathLike, bytes]],
     narrative: str = "",
     warnings: list[str] | None = None,
     timestamp: bool = True,
@@ -100,7 +84,18 @@ def build_report(
     """Assemble the report document. Field order is fixed so identical
     inputs serialize byte-identically (timestamp optional for that). A
     non-finite payload float, which JSON cannot hold, is written as null
-    with a warning that names the field and why it has no value."""
+    with a warning that names the field and why it has no value. Each
+    (path, data) of inputs is listed with the SHA-256 of data, the bytes
+    parsed: CPython's built-in SHA-256 gives hashlib's digest without
+    loading OpenSSL, and hashlib serves a build without it. The version
+    picks the one module to try: a failed import is not cached."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     payload, warnings = dict(payload), list(warnings or [])
     for key, value in payload.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -117,7 +112,7 @@ def build_report(
     if timestamp:
         report["timestamp"] = utc_timestamp(time.time_ns())
     report["inputs"] = [
-        {"path": str(p), "sha256": file_digest(p)} for p in inputs
+        {"path": str(p), "sha256": sha256(data).hexdigest()} for p, data in inputs
     ]
     report["payload"] = payload
     if narrative:

@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import hashlib
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import pytest
 
 import techsub
 from conftest import write_csv, write_manifest
+from techsub.ingest import TimeSeries
 
 SRC = str(Path(techsub.__file__).resolve().parent.parent)
 
@@ -773,7 +776,7 @@ class TestWaves:
         "content, message",
         [
             (b'{"dataset": ' + b"7" * 5000 + b"}", "invalid JSON"),
-            (b'{"dataset": "\xff"}', "invalid JSON"),
+            (b'{"dataset": "\xff"}', "not valid UTF-8"),
             (b'{"series": 5}', "'series' must be a list"),
             (b'{"series": null}', "'series' must be a list"),
             (b'{"period": {"first": true, "last": 2000}}', "period first must be an integer"),
@@ -790,6 +793,15 @@ class TestWaves:
         assert code == 3
         assert err.startswith("techsub: parse error: ") and message in err
         assert out == ""
+
+    def test_series_entry_that_is_not_an_object_names_the_manifest(self, run_cli, tmp_path):
+        manifest = write_manifest(tmp_path / "m.json", {"series": [5]})
+        code, out, err = run_cli("waves", manifest)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"techsub: parse error: {manifest}: manifest series entry must be an object with a "
+            "'file' key\n"
+        )
 
     def test_deeply_nested_manifest_is_parse_failure(self, run_cli, tmp_path):
         """Nesting too deep for json.loads is a parse failure, not a traceback."""
@@ -970,6 +982,14 @@ class TestSimulate:
         assert err.startswith("techsub: parse error: ") and message in err
         assert not (tmp_path / "k.csv").exists()
 
+    def test_series_parameters_that_are_not_an_object_name_the_file(self, run_cli, tmp_path):
+        params = self.params_file(tmp_path, victim=5)
+        k_csv, v_csv = tmp_path / "k.csv", tmp_path / "v.csv"
+        code, out, err = run_cli("simulate", params, "--killer-out", k_csv, "--victim-out", v_csv)
+        assert (code, out) == (3, "")
+        assert err == f"techsub: parse error: {params}: victim parameters must be an object, got 5\n"
+        assert not k_csv.exists() and not v_csv.exists()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -1003,13 +1023,14 @@ class TestSimulate:
         assert "root must be an object" in err
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            b'{"victim": {}, "killer": {}, "years": {}, "seed": ' + b"7" * 5000 + b"}",
-            b'{"victim": {"name": "\xff"}, "killer": {}, "years": {}}',
+            (b'{"victim": {}, "killer": {}, "years": {}, "seed": ' + b"7" * 5000 + b"}",
+             "invalid JSON"),
+            (b'{"victim": {"name": "\xff"}, "killer": {}, "years": {}}', "not valid UTF-8"),
         ],
     )
-    def test_unreadable_params_are_parse_failures(self, run_cli, tmp_path, content):
+    def test_unreadable_params_are_parse_failures(self, run_cli, tmp_path, content, message):
         params = tmp_path / "params.json"
         params.write_bytes(content)
         got, _, err = run_cli(
@@ -1017,7 +1038,7 @@ class TestSimulate:
             "--victim-out", tmp_path / "v.csv",
         )
         assert got == 3
-        assert err.startswith("techsub: parse error: ") and "invalid JSON" in err
+        assert err.startswith(f"techsub: parse error: {params}: {message} (")
         assert not (tmp_path / "k.csv").exists()
 
     @pytest.mark.parametrize(
@@ -1151,6 +1172,69 @@ class TestSimulate:
         assert json.loads(out)["payload"]["n_dropped"] == 0
 
 
+class TestInputsReadOnce:
+    """Each command opens each input it reads once, and a report lists the
+    digest of the bytes that were parsed."""
+
+    def cases(self, tmp_path):
+        """Each command's arguments and the files it reads, first the one
+        its report lists first."""
+        killer = write_csv(tmp_path / "k.csv", [(y, 2.0 * y**3) for y in range(1, 11)])
+        victim = write_csv(tmp_path / "v.csv", [(y, float(y)) for y in range(1, 11)])
+        shares = write_csv(tmp_path / "s.csv", [(y, y / 10.0) for y in range(1, 10)])
+        manifest = constant_gap_manifest(tmp_path)
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({
+            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+            "years": {"first": 0, "last": 30},
+        }))
+        return {
+            "fit-killer": (["fit-killer", killer, victim], [killer, victim]),
+            "fisher-pry": (["fisher-pry", shares], [shares]),
+            "waves": (["waves", manifest], [manifest, *(tmp_path / f"{t}.csv" for t in "abc")]),
+            "simulate": (
+                ["simulate", params, "--killer-out", tmp_path / "ko.csv",
+                 "--victim-out", tmp_path / "vo.csv"],
+                [params],
+            ),
+        }
+
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves", "simulate"])
+    def test_each_input_is_opened_once(self, run_cli, tmp_path, monkeypatch, command):
+        argv, inputs = self.cases(tmp_path)[command]
+        real, reads = builtins.open, []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                reads.append(str(file))
+            return real(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run_cli(*argv)[0] == 0
+        assert sorted(reads) == sorted(map(str, inputs))
+
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves"])
+    def test_report_digests_the_bytes_parsed(self, run_cli, tmp_path, monkeypatch, command):
+        """The first input is rewritten after it is parsed, when a series
+        is first restricted to the period (None here), and before the report
+        is built."""
+        argv, inputs = self.cases(tmp_path)[command]
+        parsed = inputs[0].read_bytes()
+        restrict = TimeSeries.restrict
+
+        def rewrite_then_restrict(series, bounds):
+            inputs[0].write_bytes(parsed + b"# rewritten\n")
+            return restrict(series, bounds)
+
+        monkeypatch.setattr(TimeSeries, "restrict", rewrite_then_restrict)
+        code, out, _ = run_cli(*argv, "--no-timestamp")
+        assert code == 0
+        assert inputs[0].read_bytes() != parsed
+        digests = [entry["sha256"] for entry in json.loads(out)["inputs"]]
+        assert digests[0] == hashlib.sha256(parsed).hexdigest()
+
+
 class TestImportBoundary:
     """No command loads numpy or scipy, simulate with noise included. The
     records, the CLI, the SVG escaping, the t test of B = 1, the exact
@@ -1176,6 +1260,7 @@ class TestImportBoundary:
                 "heavy": sorted(m for m in new if m.split(".")[0] in HEAVY),
                 "pathlib": "pathlib" in sys.modules,
                 "hashlib": sorted(m for m in new if m in ("hashlib", "_hashlib")),
+                "sha": sorted(m for m in new if m in ("_sha2", "_sha256")),
                 "typing": "typing" in sys.modules,
             }
         from techsub.cli import main
@@ -1233,10 +1318,22 @@ class TestImportBoundary:
             assert not loaded["numpy"] and not loaded["scipy"]
             assert loaded["heavy"] == []
         assert [loaded["hashlib"] for loaded in stages] == [[]] * 7
+        # simulate builds no report, so neither run loads a SHA-256 module
+        # beyond what random, which noise loads, brings for its own sha512
+        # (_sha2 on 3.12); the first report loads the built-in one
+        done = run_python("-c", (
+            "import json, sys; before = set(sys.modules); import random; "
+            "print(json.dumps(sorted((set(sys.modules) - before) & {'_sha2', '_sha256'})))"
+        ))
+        from_random = json.loads(done.stdout)
+        built_in = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+        assert [loaded["sha"] for loaded in stages[1:4]] == [
+            from_random, from_random, from_random or [built_in]
+        ]
 
     def test_no_command_loads_pathlib_without_site(self, tmp_path):
         """Under -S no .pth file runs, so what is loaded is the package's
-        own doing: files are read, written and digested through open()."""
+        own doing: files are read and written through open()."""
         stages = self.probe(tmp_path, "-S")
         assert len(stages) == 7
         assert [loaded["pathlib"] for loaded in stages] == [False] * 7

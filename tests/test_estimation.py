@@ -21,13 +21,18 @@ from techsub.estimation import (
     fisher_pry_fit,
     killer_fit,
     logistic_fit,
-    logistic_sse,
     ols_fit,
 )
 from techsub.growth import LogisticParams, logistic_value
 
 np = pytest.importorskip("numpy")
 stats = pytest.importorskip("scipy.stats")
+
+
+def logistic_sse(params, series):
+    """Sum of squared level residuals of a logistic curve over a series:
+    the score the fit tests compare fits by."""
+    return sum((v - logistic_value(params, y)) ** 2 for y, v in series.points)
 
 
 def mpmath_t_tail(mp, t, dof):

@@ -14,7 +14,6 @@ from techsub.ingest import (
     align_pair,
     load_manifest,
     parse_series,
-    read_json_object,
     read_series,
     serialize_series,
 )
@@ -327,6 +326,12 @@ class TestAlignPair:
         assert years == sorted(common)
 
 
+def read_ref(manifest, ref):
+    """The series ref names, read as waves reads it and restricted to the
+    manifest's period."""
+    return read_series(manifest.path(ref), ref.name, ref.unit).restrict(manifest.period)
+
+
 class TestManifest:
     def test_load_pair_manifest(self, tmp_path):
         """killer, victim and adjustment are read by no command: like
@@ -349,7 +354,7 @@ class TestManifest:
             dataset="demo", series=(SeriesRef("k.csv"),), period=(2000, 2001),
             base_dir=str(tmp_path),
         )
-        killer = manifest.resolve(manifest.series[0])
+        killer = read_ref(manifest, manifest.series[0])
         assert killer.name == "k"
         assert killer.points == ((2000, 1.0), (2001, 2.0))
 
@@ -361,7 +366,7 @@ class TestManifest:
         )
         manifest = load_manifest(path)
         assert len(manifest.series) == 1
-        assert manifest.resolve(manifest.series[0]).name == "tech-a"
+        assert read_ref(manifest, manifest.series[0]).name == "tech-a"
 
     def test_period_outside_series_rejected(self, tmp_path):
         write_csv(tmp_path / "a.csv", [(2000, 1.0), (2005, 2.0)])
@@ -375,7 +380,7 @@ class TestManifest:
         )
         manifest = load_manifest(path)
         with pytest.raises(ValidationError, match="does not overlap"):
-            manifest.resolve(manifest.series[0])
+            read_ref(manifest, manifest.series[0])
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -442,11 +447,24 @@ class TestErrorsNameTheFile:
             f"{path}: series 'm': years must be strictly increasing (1920 follows 1920)"
         )
 
-    def test_read_json_object(self, tmp_path):
+    def test_load_manifest(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{\n"a": 1,\n"b": }\n')
         with pytest.raises(ParseError) as info:
-            read_json_object(path, "manifest")
+            load_manifest(path)
+        assert str(info.value) == (
+            f"{path}: line 3: invalid JSON (Expecting value: line 3 column 6 (char 15))"
+        )
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_manifest_newlines_are_translated_as_text_mode_reads_them(self, tmp_path, newline):
+        """CRLF and CR-only line ends read as one newline each, so the line,
+        column and char of a JSON error are those of the LF file."""
+        path = tmp_path / "m.json"
+        path.write_bytes(newline.join(['{', '"a": 1,', '"b": }', '']).encode())
+        with pytest.raises(ParseError) as info:
+            load_manifest(path)
         assert str(info.value) == (
             f"{path}: line 3: invalid JSON (Expecting value: line 3 column 6 (char 15))"
         )

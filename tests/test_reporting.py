@@ -11,7 +11,6 @@ from conftest import make_series
 from techsub.estimation import KillerFit, Regime, killer_fit, ols_fit
 from techsub.reporting import (
     build_report,
-    file_digest,
     fit_payload,
     regime_narrative,
     render_report,
@@ -96,19 +95,22 @@ def test_narrative_full_text(regime, beta, sentence, co_movement):
     assert regime_narrative(fit) == expected
 
 
+def digest(data: bytes) -> str:
+    """The sha256 build_report lists for one input whose parsed bytes are data."""
+    return build_report("c", "d", {}, [("input.csv", data)], timestamp=False)["inputs"][0]["sha256"]
+
+
 class TestFileDigest:
-    """file_digest hashes with CPython's built-in SHA-256 (_sha2 from 3.12,
+    """build_report hashes with CPython's built-in SHA-256 (_sha2 from 3.12,
     _sha256 before it), hashlib only where neither exists: the same hex."""
 
     @given(st.binary(max_size=4096))
     @example(b"")
     @example(bytes(range(256)) * 257)  # over 64 KiB
-    def test_matches_hashlib(self, tmp_path_factory, data):
-        path = tmp_path_factory.getbasetemp() / "digest.bin"
-        path.write_bytes(data)
-        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+    def test_matches_hashlib(self, data):
+        assert digest(data) == hashlib.sha256(data).hexdigest()
 
-    def test_falls_back_to_hashlib(self, tmp_path, monkeypatch):
+    def test_falls_back_to_hashlib(self, monkeypatch):
         real, called = hashlib.sha256, []
 
         def spy(data):
@@ -119,21 +121,18 @@ class TestFileDigest:
         monkeypatch.setitem(sys.modules, "_sha2", None)
         monkeypatch.setitem(sys.modules, "_sha256", None)
         data = b"year,value\n2000,1.0\n"
-        path = tmp_path / "input.csv"
-        path.write_bytes(data)
-        assert file_digest(path) == real(data).hexdigest()
+        assert digest(data) == real(data).hexdigest()
         assert called == [data]
 
 
 class TestBuildReport:
-    def test_field_order_and_digest(self, tmp_path):
-        src = tmp_path / "input.csv"
-        src.write_text("year,value\n2000,1.0\n")
+    def test_field_order_and_digest(self):
+        data = b"year,value\n2000,1.0\n"
         doc = build_report(
             command="fit-killer",
             dataset="demo",
             payload={"x": 0.1 + 0.2},
-            inputs=[src],
+            inputs=[("input.csv", data)],
             narrative="n",
             timestamp=False,
         )
@@ -142,13 +141,13 @@ class TestBuildReport:
             "tool", "version", "command", "dataset", "log_base",
             "inputs", "payload", "narrative", "warnings",
         ]
-        assert len(doc["inputs"][0]["sha256"]) == 64
+        assert doc["inputs"] == [
+            {"path": "input.csv", "sha256": hashlib.sha256(data).hexdigest()}
+        ]
 
-    def test_numeric_fields_survive_serialization_exactly(self, tmp_path):
-        src = tmp_path / "input.csv"
-        src.write_text("year,value\n2000,1.0\n")
+    def test_numeric_fields_survive_serialization_exactly(self):
         value = 0.1 + 0.2  # not exactly representable in decimal
-        doc = build_report("c", "d", {"v": value, "inf": float("inf")}, [src], timestamp=False)
+        doc = build_report("c", "d", {"v": value, "inf": float("inf")}, [], timestamp=False)
         back = json.loads(render_report(doc))
         assert back["payload"]["v"] == value
         assert back["payload"]["inf"] is None
@@ -167,11 +166,10 @@ class TestBuildReport:
         assert back["warnings"][0] == "w"
         assert [w.split(" ", 1)[0] for w in back["warnings"][1:]] == bad
 
-    def test_timestamp_toggle(self, tmp_path):
-        src = tmp_path / "input.csv"
-        src.write_text("year,value\n2000,1.0\n")
-        with_ts = build_report("c", "d", {}, [src], timestamp=True)
-        without = build_report("c", "d", {}, [src], timestamp=False)
+    def test_timestamp_toggle(self):
+        inputs = [("input.csv", b"year,value\n2000,1.0\n")]
+        with_ts = build_report("c", "d", {}, inputs, timestamp=True)
+        without = build_report("c", "d", {}, inputs, timestamp=False)
         assert "timestamp" in with_ts
         assert "timestamp" not in without
 
