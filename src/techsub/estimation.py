@@ -291,81 +291,81 @@ K_NARROW_SIZE = 32
 def logistic_fit(series: TimeSeries) -> LogisticParams:
     """Fit a logistic curve to a series by least squares on levels.
 
-    One-dimensional search over the capacity K on
-    (max(series)*(1+K_EPSILON), max(series)*K_MAX_FACTOR], over
-    ln(K - max) so the sharp minimum near a saturated series stays
-    resolvable: one scan of K_GRID_SIZE points finds the basin, then
-    scans of K_NARROW_SIZE points between the best point's two
-    neighbours narrow it until they lie within 1e-12 (8 to 10 narrowing
-    scans, at most 704 candidates in all). Each scan runs in place in one
-    (size, n) buffer, rounding each step as the plain numpy expression
-    would, so it returns the same floats. For each candidate K the
-    remaining parameters come from closed-form OLS on the
-    logit-linearized data ln(K-v) - ln(v) = a - b*t, with every sum over
-    the series alone taken once per fit; the objective is the sum of
-    squared level residuals, scored divided by max(series)**2 so that it
-    neither overflows nor underflows. Rising series give b > 0,
-    declining ones b < 0.
+    One-dimensional search over the capacity K on (max(series)*(1+K_EPSILON),
+    max(series)*K_MAX_FACTOR], over ln(K - max) so the sharp minimum near a
+    saturated series stays resolvable: one scan of K_GRID_SIZE points finds
+    the basin, then scans of K_NARROW_SIZE points between the best point's two
+    neighbours narrow it until they lie within 1e-12 (8 to 10 narrowing scans,
+    at most 704 candidates in all). Each scan runs in place in one (size, n)
+    buffer, rounding each step as the plain numpy expression would (the same
+    floats). For each candidate K, a and b come from closed-form OLS on
+    ln(K-v) - ln(v) = a - b*t, every sum over the series alone taken once per
+    fit; the objective, the sum of squared level residuals, is scored divided
+    by max(series)**2 so that it neither overflows nor underflows. One
+    overflow block, entered once per fit, covers the whole search: past the
+    year check only exp(a - b*t) can overflow, and its inf gives the exact
+    limit 0. Rising series give b > 0, declining ones b < 0.
 
     Non-positive observations are dropped; at least 4 must remain and the
-    series must not be constant (it has no S-shaped curve to fit). The
-    search interval must be representable: K_EPSILON*max a normal float
-    and K_MAX_FACTOR*max finite (max from about 2.2e-294 to 3.6e306).
+    series must not be constant. The years must convert to floats whose
+    centred sum of squares is positive and finite. The search interval must be
+    representable: K_EPSILON*max a normal float and K_MAX_FACTOR*max finite
+    (max from about 2.2e-294 to 3.6e306).
     """
     import numpy as np
 
     pts = [(y, v) for y, v in series.points if v > 0.0]
     if len(pts) < 4:
-        raise EstimationError(
-            f"need at least 4 strictly positive observations, got {len(pts)}"
-        )
-    t = np.array([y for y, _ in pts], dtype=float)
-    v = np.array([x for _, x in pts], dtype=float)
-    if np.all(v == v[0]):
-        raise EstimationError("series is constant, no S-shaped growth to fit")
-
+        raise EstimationError(f"need at least 4 strictly positive observations, got {len(pts)}")
+    try:
+        t, v = np.array(list(zip(*pts)), dtype=float)
+    except OverflowError:
+        raise EstimationError("a year overflows a float; shift the years") from None
     v_max = float(v.max())
+    if v.min() == v_max:
+        raise EstimationError("series is constant, no S-shaped growth to fit")
     if K_EPSILON * v_max < sys.float_info.min or math.isinf(K_MAX_FACTOR * v_max):
         raise EstimationError(f"series maximum {v_max!r} is outside the fittable range")
-    t_mean = t.mean()
-    dt = t - t_mean
-    dt_dt = float(dt @ dt)
-    log_v = np.log(v)
-    log_v_dt = float(log_v @ dt)
-    log_v_mean = log_v.mean()
-    w = v / v_max
-    # gap = K - max(series); searched in log space
-    lo = math.log(K_EPSILON * v_max)
-    hi = math.log((K_MAX_FACTOR - 1.0) * v_max)
-    size = K_GRID_SIZE
     n = len(v)
-    buffer = np.empty((size, n))
-    while True:
-        # np.linspace(lo, hi, size) by linspace's own arithmetic
-        u = np.arange(size, dtype=float) * ((hi - lo) / (size - 1))
-        u += lo
-        u[-1] = hi
-        gaps = np.exp(u)
-        K = (v_max + gaps)[:, None]
-        # z holds ln(K - v), then the scaled prediction, then the residual
-        z = buffer[:size]
-        np.log(np.subtract(K, v, out=z), out=z)
-        b = (log_v_dt - z @ dt) / dt_dt
-        a = np.add.reduce(z, axis=1) / n - log_v_mean + b * t_mean
-        with np.errstate(over="ignore"):
-            np.multiply(b[:, None], t, out=z)
-            np.subtract(a[:, None], z, out=z)
-            np.exp(z, out=z)
+    steps = np.arange(K_GRID_SIZE, dtype=float)
+    buffer = np.empty((K_GRID_SIZE, n))
+    with np.errstate(over="ignore"):
+        t_mean = np.add.reduce(t) / n
+        dt = t - t_mean
+        dt_dt = float(dt @ dt)
+        if not 0.0 < dt_dt < math.inf:
+            raise EstimationError("years have zero variance as floats, growth rate undefined"
+                                  if dt_dt == 0.0 else "the years' spread overflows a float")
+        log_v = np.log(v)
+        log_v_dt = float(log_v @ dt)
+        log_v_mean = np.add.reduce(log_v) / n
+        w = v / v_max
+        # gap = K - max(series); searched in log space
+        lo, hi = math.log(K_EPSILON * v_max), math.log((K_MAX_FACTOR - 1.0) * v_max)
+        size = K_GRID_SIZE
+        while True:
+            # np.linspace(lo, hi, size) by linspace's own arithmetic
+            u = steps[:size] * ((hi - lo) / (size - 1))
+            u += lo
+            u[-1] = hi
+            gaps = np.exp(u)
+            K = (v_max + gaps)[:, None]
+            # z holds ln(K - v), then the scaled prediction, then the residual
+            z = buffer[:size]
+            np.log(np.subtract(K, v, z), z)
+            b = (log_v_dt - z @ dt) / dt_dt
+            a = np.add.reduce(z, 1) / n - log_v_mean + b * t_mean
+            np.multiply(b[:, None], t, z)
+            np.subtract(a[:, None], z, z)
+            np.exp(z, z)
             z += 1.0
-            np.divide(K / v_max, z, out=z)
-        np.subtract(w, z, out=z)
-        best = int(np.einsum("ij,ij->i", z, z).argmin())
-        lo = u[max(best - 1, 0)]
-        hi = u[min(best + 1, size - 1)]
-        if hi - lo <= 1e-12:
-            break
-        size = K_NARROW_SIZE
-
+            np.divide(K / v_max, z, z)
+            np.subtract(w, z, z)
+            best = int(np.einsum("ij,ij->i", z, z).argmin())
+            lo, hi = float(u[max(best - 1, 0)]), float(u[min(best + 1, size - 1)])
+            if hi - lo <= 1e-12:
+                break
+            size = K_NARROW_SIZE
     a, b = float(a[best]), float(b[best])
     if b == 0.0:
         raise EstimationError("degenerate fit: zero growth rate")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import pytest
@@ -557,6 +558,42 @@ class TestLogisticFit:
         series = make_series([(0, 0.0), (1, 0.0), (2, 1.0), (3, 2.0)], "sparse")
         with pytest.raises(EstimationError, match="at least 4"):
             logistic_fit(series)
+
+    @pytest.mark.parametrize(
+        "years,message",
+        [
+            ([10**400 + i for i in range(6)], "a year overflows a float; shift the years"),
+            # every 2**60 + i rounds to the one float 2**60
+            ([2**60 + i for i in range(6)],
+             "years have zero variance as floats, growth rate undefined"),
+            # the centred sum of squares is about 1.75e601
+            ([10**300 * i for i in range(6)], "the years' spread overflows a float"),
+        ],
+        ids=["beyond-floats", "one-float", "spread-overflows"],
+    )
+    def test_years_that_floats_cannot_hold_are_estimation_failures(self, years, message):
+        series = make_series(list(zip(years, [1.0, 2.0, 4.0, 7.0, 9.0, 9.8])))
+        with pytest.raises(EstimationError) as caught:
+            logistic_fit(series)
+        assert type(caught.value) is EstimationError and str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "points,error",
+        [
+            ([(t, float(t + 1)) for t in range(6)], None),
+            # exp(a - b*t) overflows to inf at some candidates
+            ([(t, 10.0 ** (-300 + 75 * t)) for t in range(9)], None),
+            ([(t, 5.0) for t in range(4)], "constant"),
+            ([(t, 1e-311 * (1 + t)) for t in range(6)], "outside the fittable range"),
+            ([(2**60 + t, float(t + 1)) for t in range(6)], "zero variance"),
+        ],
+        ids=["fits", "fits-past-exp-overflow", "constant", "unfittable-range", "one-float-year"],
+    )
+    def test_numpy_error_state_is_as_before(self, points, error):
+        before = np.geterr()
+        with pytest.raises(EstimationError, match=error) if error else contextlib.nullcontext():
+            logistic_fit(make_series(points))
+        assert np.geterr() == before
 
     @given(
         st.floats(min_value=0.5, max_value=1e4),
