@@ -20,7 +20,6 @@ import sys
 
 from .errors import EstimationError, ParseError, TechsubError, ValidationError
 from .estimation import (
-    DEFAULT_TOLERANCE,
     AbsoluteTolerance,
     TTestTolerance,
     fisher_pry_fit,
@@ -373,7 +372,7 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument(
         "--regime-tolerance",
         type=_parse_tolerance,
-        default=DEFAULT_TOLERANCE,
+        default=TTestTolerance(),
         metavar="{ttest|abs:X}",
         help="proportional growth: t test of B = 1 at 5%% (default) or fixed |B-1| <= X",
     )

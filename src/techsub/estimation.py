@@ -65,10 +65,9 @@ class AbsoluteTolerance(namedtuple("AbsoluteTolerance", "value", defaults=(0.05,
     __slots__ = ()
 
     def proportional(self, fit: RegressionFit) -> bool:
+        if not 0.0 <= self.value < math.inf:
+            raise ValidationError(f"tolerance must be finite and >= 0, got {self.value}")
         return abs(fit.beta - 1.0) <= self.value
-
-
-DEFAULT_TOLERANCE = TTestTolerance()
 
 
 class KillerFit(namedtuple("KillerFit", "regression regime co_movement years_used n_dropped")):
@@ -231,7 +230,7 @@ def _ols(xs: list[float], ys: list[float]) -> tuple[RegressionFit, tuple]:
     return fit, (n, dx, sx, sy, qxx, qxy)
 
 
-def classify_regime(fit: RegressionFit, policy=None) -> Regime:
+def classify_regime(fit: RegressionFit, policy=TTestTolerance()) -> Regime:
     """Label the estimated growth coefficient B = fit.beta against 1.
 
     Proportional growth when the policy calls beta proportional (default:
@@ -241,12 +240,12 @@ def classify_regime(fit: RegressionFit, policy=None) -> Regime:
     lands in under-development; sign is reported separately as co-movement
     direction.
     """
-    if (policy or DEFAULT_TOLERANCE).proportional(fit):
+    if policy.proportional(fit):
         return Regime.PROPORTIONAL_GROWTH
     return Regime.DEVELOPMENT if fit.beta > 1.0 else Regime.UNDER_DEVELOPMENT
 
 
-def killer_fit(killer: TimeSeries, victim: TimeSeries, policy=None) -> KillerFit:
+def killer_fit(killer: TimeSeries, victim: TimeSeries, policy=TTestTolerance()) -> KillerFit:
     """Fit log(killer) = alpha + B*log(victim) on year-aligned observations.
 
     Aligns the two series on year (inner join; restrict each first to fit

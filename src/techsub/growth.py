@@ -13,12 +13,10 @@ allometric power law  killer = A * victim**B  with B = b_killer/b_victim.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import ValidationError
-
-# exp argument beyond this would overflow a double
-_EXP_LIMIT = 700.0
 
 
 class LogisticParams(namedtuple("LogisticParams", "K a b")):
@@ -54,16 +52,17 @@ class AllometricModel(namedtuple("AllometricModel", "A B C1")):
     A is the scale constant, B the growth-coefficient exponent
     (ratio of the two logistic growth rates) and C1 the coupling
     constant exp(b_victim * (t2 - t1)) of the underlying odds identity.
+    A and C1 must be positive normal floats: NaN, inf, 0 and subnormals fail.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, A: float, B: float, C1: float):
-        if not (A > 0 and math.isfinite(A)):
-            raise ValidationError(f"scale constant A must be finite and > 0, got {A}")
-        if not (C1 > 0 and math.isfinite(C1)):
-            raise ValidationError(f"coupling constant C1 must be finite and > 0, got {C1}")
+        if not sys.float_info.min <= A < math.inf:
+            raise ValidationError(f"scale constant A must be a normal float > 0, got {A}")
+        if not sys.float_info.min <= C1 < math.inf:
+            raise ValidationError(f"coupling constant C1 must be a normal float > 0, got {C1}")
         return super().__new__(cls, A, B, C1)
 
 
@@ -82,9 +81,7 @@ def logistic_value(params: LogisticParams, t: float) -> float:
         return params.K * half * half
 
 
-def allometric_constants(
-    victim: LogisticParams, killer: LogisticParams
-) -> AllometricModel:
+def allometric_constants(victim: LogisticParams, killer: LogisticParams) -> AllometricModel:
     """Derive the allometric model linking two logistic curves.
 
     B = b_killer / b_victim and C1 = exp(b_victim * (t2 - t1)), with t1,
@@ -92,23 +89,16 @@ def allometric_constants(
     small-value limit of the exact odds identity:
 
         A = K_killer * C1**(-B) / K_victim**B
+
+    Raises ValidationError unless A and C1 are positive normal floats.
     """
-    if victim.b == 0:
-        raise ValidationError("victim growth rate must be nonzero (B undefined)")
     B = killer.b / victim.b
-    t1 = victim.t_inflection
-    t2 = killer.t_inflection
-    c1_exponent = victim.b * (t2 - t1)
-    if abs(c1_exponent) > _EXP_LIMIT:
-        raise ValidationError(
-            f"coupling constant exp({c1_exponent:.6g}) is not representable"
-        )
-    C1 = math.exp(c1_exponent)
+    c1_exponent = victim.b * (killer.t_inflection - victim.t_inflection)
     # A spans many orders of magnitude for large |B|; assemble it in log
     # space so only a truly unrepresentable A fails, not an intermediate.
     log_A = math.log(killer.K) - B * c1_exponent - B * math.log(victim.K)
-    if abs(log_A) > _EXP_LIMIT:
-        raise ValidationError(
-            f"scale constant exp({log_A:.6g}) is not representable for this pair"
-        )
-    return AllometricModel(A=math.exp(log_A), B=B, C1=C1)
+    try:
+        return AllometricModel(A=math.exp(log_A), B=B, C1=math.exp(c1_exponent))
+    except OverflowError:
+        raise ValidationError(f"scale constant exp({log_A:.6g}) or coupling constant "
+                              f"exp({c1_exponent:.6g}) is not representable") from None

@@ -223,6 +223,11 @@ class TestOlsFit:
         with pytest.raises(EstimationError, match="at least 3"):
             ols_fit([1, 2], [2, 3])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(EstimationError) as caught:
+            ols_fit([1, 2, 3], [1, 2])
+        assert str(caught.value) == "xs and ys lengths differ (3 vs 2)"
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -393,6 +398,15 @@ class TestClassifyRegime:
         with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 1\)"):
             classify_regime(make_fit(1.3, 0.17, 31), TTestTolerance(alpha))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+    def test_absolute_tolerance_outside_range_rejected(self, value):
+        # B is exactly 1, so a NaN or negative band would call it
+        # under-development and an infinite one anything proportional
+        fit = ols_fit([1, 2, 3, 4], [1, 2, 3, 4])
+        with pytest.raises(ValidationError) as caught:
+            classify_regime(fit, AbsoluteTolerance(value))
+        assert str(caught.value) == f"tolerance must be finite and >= 0, got {value}"
+
     def test_t_test_policy_depends_on_precision(self):
         # same point estimate, different standard errors
         assert classify_regime(make_fit(1.46, 0.08, 56)) is Regime.DEVELOPMENT
@@ -553,6 +567,13 @@ class TestLogisticFit:
         series = make_series([(t, scale * (1 + t) / 6) for t in range(6)], "s")
         with pytest.raises(EstimationError, match="outside the fittable range"):
             logistic_fit(series)
+
+    def test_zero_growth_rate_rejected(self):
+        # a symmetric hump: the best fit over the capacity search is flat
+        series = make_series([(0, 1.0), (1, 2.0), (2, 2.0), (3, 1.0)], "hump")
+        with pytest.raises(EstimationError) as caught:
+            logistic_fit(series)
+        assert str(caught.value) == "degenerate fit: zero growth rate"
 
     def test_too_few_positive_observations(self):
         series = make_series([(0, 0.0), (1, 0.0), (2, 1.0), (3, 2.0)], "sparse")

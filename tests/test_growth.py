@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given
@@ -12,8 +13,6 @@ from techsub.growth import (
     allometric_constants,
     logistic_value,
 )
-
-np = pytest.importorskip("numpy")
 
 capacities = st.floats(min_value=1e-3, max_value=1e9)
 locations = st.floats(min_value=-50.0, max_value=50.0)
@@ -40,7 +39,11 @@ class TestLogisticParams:
         p = LogisticParams(K=10.0, a=6.0, b=1.5)
         assert p.t_inflection * p.b == p.a
 
-    @pytest.mark.parametrize("K,a,b", [(0.0, 1, 1), (-5.0, 1, 1), (10.0, 1, 0.0)])
+    @pytest.mark.parametrize(
+        "K,a,b",
+        [(0.0, 1, 1), (-5.0, 1, 1), (10.0, 1, 0.0),
+         (math.inf, 1, 1), (10.0, math.nan, 1), (10.0, 1, math.inf)],
+    )
     def test_invalid_params_rejected(self, K, a, b):
         with pytest.raises(ValidationError):
             LogisticParams(K=K, a=a, b=b)
@@ -119,6 +122,32 @@ class TestAllometricConstants:
             AllometricModel(A=-1.0, B=1.0, C1=1.0)
         with pytest.raises(ValidationError):
             AllometricModel(A=1.0, B=1.0, C1=0.0)
+        with pytest.raises(ValidationError):
+            AllometricModel(A=1e-310, B=1.0, C1=1.0)
+
+    def test_constants_must_be_normal_floats(self):
+        with pytest.raises(ValidationError, match="C1 must be a normal float > 0, got 5e-324"):
+            AllometricModel(A=1.0, B=1.0, C1=5e-324)
+        assert AllometricModel(A=sys.float_info.min, B=1.0, C1=1.0).A == sys.float_info.min
+
+    def test_every_normal_constant_is_returned(self):
+        # exponents past 700, still inside the float range
+        victim = LogisticParams(K=1, a=0, b=1)
+        big = allometric_constants(victim, LogisticParams(K=math.exp(705), a=0, b=1))
+        assert big.A == pytest.approx(math.exp(705), rel=1e-12)
+        late = allometric_constants(victim, LogisticParams(K=1, a=705, b=1))
+        assert late.C1 == pytest.approx(math.exp(705), rel=1e-12)
+        early = allometric_constants(victim, LogisticParams(K=1, a=-705, b=1))
+        assert early.C1 == pytest.approx(math.exp(-705), rel=1e-12)
+
+    def test_unrepresentable_constants_rejected(self):
+        victim = LogisticParams(K=1, a=0, b=1)
+        # C1 = e^710 overflows a float
+        with pytest.raises(ValidationError, match="not representable"):
+            allometric_constants(victim, LogisticParams(K=1, a=710, b=1))
+        # C1 = e^-720 is subnormal, though A = e^20 is not
+        with pytest.raises(ValidationError, match="coupling constant"):
+            allometric_constants(victim, LogisticParams(K=math.exp(-700), a=-720, b=1))
 
     def test_matches_simulated_killer_in_deep_small_value_regime(self):
         # Power-law limit of the exact odds identity: the prediction error
@@ -169,6 +198,7 @@ class TestOddsIdentity:
         victim = LogisticParams(K=100, a=5, b=0.5)
         killer = LogisticParams(K=200, a=8, b=1.0)
         model = allometric_constants(victim, killer)
+        np = pytest.importorskip("numpy")
         ts = np.arange(-10.0, 5.61, 0.25)
         v = np.array([logistic_value(victim, t) for t in ts])
         kl = np.array([logistic_value(killer, t) for t in ts])

@@ -1,6 +1,7 @@
 import html
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,3 +25,10 @@ def test_every_label_round_trips_through_an_xml_parser(text):
     assert html.escape(text, quote=False) in svg
     labels = [el.text or "" for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert labels.count(text) >= 4
+
+
+@pytest.mark.parametrize("x,y", [([], []), ([1.0, 2.0], [3.0])], ids=["empty", "unequal"])
+def test_unusable_points_rejected(x, y):
+    with pytest.raises(ValueError) as caught:
+        render_scatter(x, y, title="t", xlabel="x", ylabel="y")
+    assert str(caught.value) == "x and y must be equal-length, non-empty"
