@@ -53,6 +53,7 @@ class AllometricModel(namedtuple("AllometricModel", "A B C1")):
     (ratio of the two logistic growth rates) and C1 the coupling
     constant exp(b_victim * (t2 - t1)) of the underlying odds identity.
     A and C1 must be positive normal floats: NaN, inf, 0 and subnormals fail.
+    B must be finite.
     """
 
     __slots__ = ()
@@ -63,6 +64,8 @@ class AllometricModel(namedtuple("AllometricModel", "A B C1")):
             raise ValidationError(f"scale constant A must be a normal float > 0, got {A}")
         if not sys.float_info.min <= C1 < math.inf:
             raise ValidationError(f"coupling constant C1 must be a normal float > 0, got {C1}")
+        if not math.isfinite(B):
+            raise ValidationError(f"exponent B must be finite, got {B}")
         return super().__new__(cls, A, B, C1)
 
 

@@ -130,6 +130,13 @@ class TestAllometricConstants:
             AllometricModel(A=1.0, B=1.0, C1=5e-324)
         assert AllometricModel(A=sys.float_info.min, B=1.0, C1=1.0).A == sys.float_info.min
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_rejected(self, B):
+        with pytest.raises(ValidationError, match=f"exponent B must be finite, got {B}"):
+            AllometricModel(A=1.0, B=B, C1=1.0)
+        with pytest.raises(ValidationError, match="exponent B"):
+            AllometricModel(A=1.0, B=1.0, C1=1.0)._replace(B=B)
+
     def test_every_normal_constant_is_returned(self):
         # exponents past 700, still inside the float range
         victim = LogisticParams(K=1, a=0, b=1)
