@@ -159,7 +159,6 @@ def _cmd_fit_killer(args) -> int:
         inputs=[(args.killer_csv, killer_data), (args.victim_csv, victim_data)],
         narrative=regime_narrative(fit),
         warnings=warnings,
-        timestamp=not args.no_timestamp,
     )
     svg = _plot(
         args.plot,
@@ -189,7 +188,6 @@ def _cmd_fisher_pry(args) -> int:
             f"{math.log(2) / abs(fit.slope):.2f} years; half-substitution at year "
             f"{fit.t_half:.2f}."
         ),
-        timestamp=not args.no_timestamp,
     )
     svg = _plot(
         args.plot,
@@ -241,7 +239,6 @@ def _cmd_waves(args) -> int:
             f"{summary['n_excluded']} still in progress (flagged '*')."
         ),
         warnings=warnings + pair_warnings,
-        timestamp=not args.no_timestamp,
     )
     return _write(
         [("--output", args.output, render_report(report))],
@@ -334,11 +331,6 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--victim-out", required=True, metavar="PATH")
         p.set_defaults(func=_cmd_simulate)
         return
-    p.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp field (byte-identical reruns)",
-    )
     p.add_argument("--output", metavar="PATH", help="write the report here instead of stdout")
     if command == "waves":
         p.add_argument("manifest", help="JSON manifest listing series in succession order")

@@ -299,7 +299,7 @@ def logistic_fit(series: TimeSeries) -> LogisticParams:
     the vertex of their parabola +- h/16 (h the step) within the neighbours;
     if that zoomed scan's best is an end point, the neighbours are rescanned
     and zooming stops, so a fit takes at most one scan more than the plain
-    nested search (a median of 6, was 11). Each scan runs in place in one
+    nested search, and a median of 6. Each scan runs in place in one
     (size, n) buffer, rounding each step as the plain numpy expression would.
     For each candidate K, a and b come from closed-form OLS on
     ln(K-v) - ln(v) = a - b*t, every sum over the series alone taken once per

@@ -118,13 +118,14 @@ def file_stem(path: str | os.PathLike) -> str:
 
 def read_input(path: str | os.PathLike, parse, *args):
     """(parse(text, *args), data): data is the file's bytes, read once, and
-    text their UTF-8 decoding with CRLF and CR read as LF, as text mode reads
-    them. Bytes that are not UTF-8, a ParseError and a ValidationError put
-    the path once before the message, keeping ParseError.line."""
+    text their UTF-8 decoding less one leading byte-order mark, which Excel
+    and Notepad write, with CRLF and CR read as LF, as text mode reads them.
+    Bytes that are not UTF-8, a ParseError and a ValidationError put the
+    path once before the message, keeping ParseError.line."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
         return parse(text, *args), data
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None

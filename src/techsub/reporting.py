@@ -7,7 +7,6 @@ import json
 import math
 import os
 import sys
-import time
 
 from .estimation import FisherPryFit, KillerFit, Regime
 
@@ -24,15 +23,6 @@ def significance_stars(p_value: float) -> str:
     if p_value < 0.05:
         return "*"
     return ""
-
-
-def utc_timestamp(ns: int) -> str:
-    """An instant, in ns since the epoch, as datetime's UTC isoformat() text
-    (microseconds floored as datetime.now floors them, and left out when
-    0), without loading datetime."""
-    seconds, us = divmod(ns // 1000, 1_000_000)
-    text = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
-    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
 
 
 _REGIME_PHRASES = {
@@ -79,14 +69,13 @@ def build_report(
     inputs: list[tuple[str | os.PathLike, bytes]],
     narrative: str = "",
     warnings: list[str] | None = None,
-    timestamp: bool = True,
 ) -> dict:
-    """Assemble the report document. Field order is fixed so identical
-    inputs serialize byte-identically (timestamp optional for that). A
+    """Assemble the report document. Field order is fixed and nothing in it
+    depends on the clock, so identical inputs serialize byte-identically. A
     non-finite payload float, which JSON cannot hold, is written as null
     with a warning that names the field and why it has no value. Each
     (path, data) of inputs is listed with the SHA-256 of data, the bytes
-    parsed: CPython's built-in SHA-256 gives hashlib's digest without
+    read: CPython's built-in SHA-256 gives hashlib's digest without
     loading OpenSSL, and hashlib serves a build without it. The version
     picks the one module to try: a failed import is not cached."""
     try:
@@ -108,13 +97,11 @@ def build_report(
         "command": command,
         "dataset": dataset,
         "log_base": "e",
+        "inputs": [
+            {"path": str(p), "sha256": sha256(data).hexdigest()} for p, data in inputs
+        ],
+        "payload": payload,
     }
-    if timestamp:
-        report["timestamp"] = utc_timestamp(time.time_ns())
-    report["inputs"] = [
-        {"path": str(p), "sha256": sha256(data).hexdigest()} for p, data in inputs
-    ]
-    report["payload"] = payload
     if narrative:
         report["narrative"] = narrative
     report["warnings"] = warnings

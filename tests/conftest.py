@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import techsub
 from techsub.ingest import CSV_HEADER, TimeSeries
+
+SRC = str(Path(techsub.__file__).resolve().parent.parent)
 
 
 def make_series(points, name="series", unit=""):
@@ -23,6 +29,16 @@ def check_record(cls, **fields):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     return a
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's techsub."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
 
 
 def write_csv(path: Path, points) -> Path:

@@ -78,7 +78,7 @@ def recorded_music_manifest(tmp_path):
 
 def test_criterion_1_wave_summary_reproduction(run_cli, recorded_music_manifest):
     start = time.perf_counter()
-    code, out, err = run_cli("waves", recorded_music_manifest, "--no-timestamp")
+    code, out, err = run_cli("waves", recorded_music_manifest)
     elapsed = time.perf_counter() - start
     assert code == 0, err
     summary = json.loads(out)["payload"]["summary"]
@@ -101,7 +101,7 @@ def test_criterion_1_wave_summary_reproduction(run_cli, recorded_music_manifest)
 
 
 def test_criterion_2_per_wave_rows(run_cli, recorded_music_manifest):
-    code, out, _ = run_cli("waves", recorded_music_manifest, "--no-timestamp")
+    code, out, _ = run_cli("waves", recorded_music_manifest)
     assert code == 0
     techs = {t["name"]: t for t in json.loads(out)["payload"]["technologies"]}
     rows = {
@@ -184,7 +184,7 @@ def test_criterion_4_generative_self_consistency(run_cli, tmp_path):
         if kv <= 0.1 * killer_p.K and vv <= 0.1 * victim_p.K
     ]
     code, out, err = run_cli(
-        "fit-killer", kout, vout, "--no-timestamp",
+        "fit-killer", kout, vout,
         "--period", f"{small_years[0]}:{small_years[-1]}",
     )
     assert code == 0, err
@@ -313,7 +313,7 @@ def test_criterion_8_historical_replication(case, run_cli):
             f"{REPLICATION_DIR}; criteria 1-7 constitute acceptance"
         )
     code, out, err = run_cli(
-        "fit-killer", killer_path, victim_path, "--no-timestamp",
+        "fit-killer", killer_path, victim_path,
         "--period", f"{bounds[0]}:{bounds[1]}",
     )
     assert code == 0, err

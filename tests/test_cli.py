@@ -1,32 +1,19 @@
 import argparse
 import builtins
+import codecs
 import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 import textwrap
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
 import techsub
-from conftest import write_csv, write_manifest
+from conftest import run_python, write_csv, write_manifest
 from techsub.ingest import TimeSeries
-
-SRC = str(Path(techsub.__file__).resolve().parent.parent)
-
-
-def run_python(*args):
-    """Run a fresh interpreter that imports this checkout's techsub."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env,
-        timeout=120,
-    )
 
 
 def constant_gap_manifest(tmp_path):
@@ -60,7 +47,7 @@ def svg_elements(path, tag):
 class TestFitKiller:
     def test_exact_power_law_report(self, run_cli, power_law_pair):
         killer_csv, victim_csv = power_law_pair
-        code, out, err = run_cli("fit-killer", killer_csv, victim_csv, "--no-timestamp")
+        code, out, err = run_cli("fit-killer", killer_csv, victim_csv)
         assert code == 0, err
         report = json.loads(out)
         assert report["command"] == "fit-killer"
@@ -74,13 +61,12 @@ class TestFitKiller:
         assert payload["n_dropped"] == 0
         assert len(report["inputs"]) == 2
         assert all(len(i["sha256"]) == 64 for i in report["inputs"])
-        assert "timestamp" not in report
 
     def test_plot_is_valid_svg_with_marker_per_point(self, run_cli, power_law_pair, tmp_path):
         killer_csv, victim_csv = power_law_pair
         plot = tmp_path / "fit.svg"
         code, _, _ = run_cli(
-            "fit-killer", killer_csv, victim_csv, "--no-timestamp", "--plot", plot
+            "fit-killer", killer_csv, victim_csv, "--plot", plot
         )
         assert code == 0
         circles = svg_elements(plot, "circle")
@@ -112,7 +98,7 @@ class TestFitKiller:
         for i in (1, 2):
             plot = tmp_path / f"p{i}.svg"
             code, out, _ = run_cli(
-                "fit-killer", killer_csv, victim_csv, "--no-timestamp", "--plot", plot
+                "fit-killer", killer_csv, victim_csv, "--plot", plot
             )
             assert code == 0
             outputs.append(out)
@@ -125,7 +111,7 @@ class TestFitKiller:
         from techsub.ingest import read_series
 
         killer_csv, victim_csv = power_law_pair
-        _, out, _ = run_cli("fit-killer", killer_csv, victim_csv, "--no-timestamp")
+        _, out, _ = run_cli("fit-killer", killer_csv, victim_csv)
         payload = json.loads(out)["payload"]
         fit = killer_fit(read_series(killer_csv), read_series(victim_csv))
         assert payload["beta"] == fit.regression.beta
@@ -140,7 +126,7 @@ class TestFitKiller:
         victim_csv = write_csv(
             tmp_path / "v.csv", [(1, 1.0), (2, 0.0), (3, 3.0), (4, 4.0)]
         )
-        code, out, _ = run_cli("fit-killer", killer_csv, victim_csv, "--no-timestamp")
+        code, out, _ = run_cli("fit-killer", killer_csv, victim_csv)
         assert code == 0
         report = json.loads(out)
         assert report["payload"]["n_dropped"] == 1
@@ -150,7 +136,7 @@ class TestFitKiller:
     def test_period_restriction(self, run_cli, power_law_pair):
         killer_csv, victim_csv = power_law_pair
         code, out, _ = run_cli(
-            "fit-killer", killer_csv, victim_csv, "--no-timestamp", "--period", "2003:2007"
+            "fit-killer", killer_csv, victim_csv, "--period", "2003:2007"
         )
         assert code == 0
         assert json.loads(out)["payload"]["years_used"] == list(range(2003, 2008))
@@ -161,7 +147,6 @@ class TestFitKiller:
             "fit-killer",
             killer_csv,
             victim_csv,
-            "--no-timestamp",
             "--regime-tolerance",
             "abs:5.0",
         )
@@ -171,7 +156,7 @@ class TestFitKiller:
     def test_regime_tolerance_ttest_accepted(self, run_cli, power_law_pair):
         killer_csv, victim_csv = power_law_pair
         code, out, _ = run_cli(
-            "fit-killer", killer_csv, victim_csv, "--no-timestamp",
+            "fit-killer", killer_csv, victim_csv,
             "--regime-tolerance", "ttest",
         )
         assert code == 0
@@ -188,7 +173,7 @@ class TestFitKiller:
         killer_csv, victim_csv = power_law_pair
         dest = tmp_path / "report.json"
         code, out, _ = run_cli(
-            "fit-killer", killer_csv, victim_csv, "--no-timestamp", "--output", dest
+            "fit-killer", killer_csv, victim_csv, "--output", dest
         )
         assert code == 0
         assert out == ""
@@ -199,7 +184,7 @@ class TestFitKiller:
         so F is infinite: the report says null, and why, in strict JSON."""
         points = [(2000 + i, 1.5**i) for i in range(8)]
         killer, victim = write_csv(tmp_path / "k.csv", points), write_csv(tmp_path / "v.csv", points)
-        code, out, err = run_cli("fit-killer", killer, victim, "--no-timestamp")
+        code, out, err = run_cli("fit-killer", killer, victim)
         assert (code, err) == (0, "")
         assert "Infinity" not in out and "NaN" not in out
 
@@ -218,7 +203,7 @@ class TestFitKiller:
         killer = write_csv(tmp_path / "k.csv", [(y, 5.0) for y in range(1, 5)])
         victim = write_csv(tmp_path / "v.csv", [(y, float(y)) for y in range(1, 5)])
         plot = tmp_path / "p.svg"
-        code, _, _ = run_cli("fit-killer", killer, victim, "--no-timestamp", "--plot", plot)
+        code, _, _ = run_cli("fit-killer", killer, victim, "--plot", plot)
         assert code == 0
         labels = [t.text for t in svg_elements(plot, "text") if t.get("text-anchor") == "end"]
         assert labels == ["1.609", "B = 0.000"]
@@ -243,7 +228,7 @@ class TestExitCodes:
         assert code == 3
         assert err == "techsub: parse error: ./bad.csv: line 2: year is not an integer: 'xx'\n"
         write_manifest(tmp_path / "m.json", {"series": [{"file": "bad.csv"}, {"file": "ok.csv"}]})
-        code, out, _ = run_cli("waves", "./m.json", "--no-timestamp")
+        code, out, _ = run_cli("waves", "./m.json")
         assert code == 0
         assert json.loads(out)["warnings"] == ["./bad.csv: line 2: year is not an integer: 'xx'"]
 
@@ -285,7 +270,7 @@ class TestExitCodes:
         # float, but the exact slope, about 3.7e-308, is
         years = (10**308, 15 * 10**307, 17 * 10**307)
         shares = write_csv(tmp_path / "s.csv", zip(years, (0.2, 0.5, 0.8)))
-        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp")
+        code, out, _ = run_cli("fisher-pry", shares)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["slope"] == 3.7323309722458596e-308
@@ -418,13 +403,13 @@ class TestExitCodes:
         if spelling == "symbolic":
             output = tmp_path / "link.json"
             output.symlink_to(shares)
-        code, out, err = run_cli("fisher-pry", shares, "--no-timestamp", "--output", output)
+        code, out, err = run_cli("fisher-pry", shares, "--output", output)
         assert (code, out) == (4, "")
         assert err == (
             f"techsub: validation error: --output {output} and input {shares} name the same file\n"
         )
         assert shares.read_bytes() == kept
-        assert run_cli("fisher-pry", shares, "--no-timestamp")[0] == 0
+        assert run_cli("fisher-pry", shares)[0] == 0
 
     def test_simulate_output_on_its_parameter_file_is_validation_failure(
         self, run_cli, tmp_path
@@ -604,7 +589,7 @@ class TestFisherPry:
         pts = [(t, 1.0 / (1.0 + math.exp(-(t - 5)))) for t in range(0, 11)]
         shares = write_csv(tmp_path / "shares.csv", pts)
         plot = tmp_path / "fp.svg"
-        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp", "--plot", plot)
+        code, out, _ = run_cli("fisher-pry", shares, "--plot", plot)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["slope"] == pytest.approx(1.0, rel=1e-9)
@@ -617,7 +602,7 @@ class TestFisherPry:
     def test_monotone_real_shaped_shares(self, run_cli, tmp_path):
         pts = [(2000, 0.03), (2001, 0.08), (2002, 0.21), (2003, 0.44), (2004, 0.71)]
         shares = write_csv(tmp_path / "shares.csv", pts)
-        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp")
+        code, out, _ = run_cli("fisher-pry", shares)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert math.isfinite(payload["slope"])
@@ -638,7 +623,7 @@ class TestFisherPry:
     ):
         pts = [(t, 1.0 / (1.0 + math.exp(-rate * (t - centre)))) for t in years]
         shares = write_csv(tmp_path / "shares.csv", pts)
-        code, out, _ = run_cli("fisher-pry", shares, "--no-timestamp")
+        code, out, _ = run_cli("fisher-pry", shares)
         assert code == 0
         assert json.loads(out)["narrative"] == narrative
 
@@ -646,7 +631,7 @@ class TestFisherPry:
         pts = [(t, 1.0 / (1.0 + math.exp(-(t - 5)))) for t in range(0, 11)]
         shares = write_csv(tmp_path / "shares.csv", pts)
         code, out, _ = run_cli(
-            "fisher-pry", shares, "--no-timestamp", "--period", "2:8"
+            "fisher-pry", shares, "--period", "2:8"
         )
         assert code == 0
         assert json.loads(out)["payload"]["n"] == 7
@@ -670,7 +655,7 @@ class TestWaves:
 
     def test_basic_report(self, run_cli, tmp_path):
         manifest = self.make_manifest(tmp_path)
-        code, out, _ = run_cli("waves", manifest, "--no-timestamp")
+        code, out, _ = run_cli("waves", manifest)
         assert code == 0
         payload = json.loads(out)["payload"]
         techs = {t["name"]: t for t in payload["technologies"]}
@@ -688,7 +673,7 @@ class TestWaves:
 
     def test_dead_series_warns_but_others_proceed(self, run_cli, tmp_path):
         manifest = self.make_manifest(tmp_path, include_zero=True)
-        code, out, _ = run_cli("waves", manifest, "--no-timestamp")
+        code, out, _ = run_cli("waves", manifest)
         assert code == 0
         report = json.loads(out)
         assert any("never exceeds" in w for w in report["warnings"])
@@ -700,7 +685,7 @@ class TestWaves:
         manifest = write_manifest(
             tmp_path / "m.json", {"series": [{"file": "a.csv"}, {"file": "b.csv"}]}
         )
-        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        code, out, err = run_cli("waves", manifest)
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert report["warnings"] == ["a.csv: series 'a': negative level at year 2002"]
@@ -714,7 +699,7 @@ class TestWaves:
         manifest = write_manifest(
             tmp_path / "m.json", {"series": [{"file": f} for f in ("z.csv", "a.csv", "b.csv")]}
         )
-        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        code, out, err = run_cli("waves", manifest)
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert report["warnings"] == [
@@ -734,7 +719,7 @@ class TestWaves:
             tmp_path / "m.json",
             {"dataset": "solo", "series": [{"file": "only.csv"}]},
         )
-        code, out, _ = run_cli("waves", manifest, "--no-timestamp")
+        code, out, _ = run_cli("waves", manifest)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert payload["takeovers"] == []
@@ -757,7 +742,7 @@ class TestWaves:
         manifest = write_manifest(
             tmp_path / "m.json", {"dataset": "th", "series": [{"file": "t.csv"}]}
         )
-        code, out, _ = run_cli("waves", manifest, "--no-timestamp", "--threshold", "1.0")
+        code, out, _ = run_cli("waves", manifest, "--threshold", "1.0")
         assert code == 0
         tech = json.loads(out)["payload"]["technologies"][0]
         assert tech["begin_year"] == 2001
@@ -765,7 +750,7 @@ class TestWaves:
 
     def test_constant_gaps_give_null_spearman_and_quiet_stderr(self, tmp_path):
         manifest = constant_gap_manifest(tmp_path)
-        done = run_python("-m", "techsub.cli", "waves", manifest, "--no-timestamp")
+        done = run_python("-m", "techsub.cli", "waves", manifest)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         gaps = json.loads(done.stdout)["payload"]["intro_gaps"]
@@ -848,7 +833,7 @@ class TestWaves:
             "series": [{"file": "a.csv"}, {"file": "b.csv"}],
             "period": {"first": 2004, "last": 2008},
         })
-        code, out, err = run_cli("waves", manifest, "--no-timestamp")
+        code, out, err = run_cli("waves", manifest)
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert report["warnings"] == [
@@ -909,7 +894,7 @@ class TestSimulate:
         kout, vout = tmp_path / "k.csv", tmp_path / "v.csv"
         run_cli("simulate", params, "--killer-out", kout, "--victim-out", vout)
         code, out, _ = run_cli(
-            "fit-killer", kout, vout, "--no-timestamp", "--period", "0:5"
+            "fit-killer", kout, vout, "--period", "0:5"
         )
         assert code == 0
         assert json.loads(out)["payload"]["beta"] == pytest.approx(2.0, rel=0.05)
@@ -1167,42 +1152,43 @@ class TestSimulate:
         kout, vout = tmp_path / "k.csv", tmp_path / "v.csv"
         assert run_cli("simulate", params, "--killer-out", kout, "--victim-out", vout)[0] == 0
         assert kout.read_text().splitlines()[2] == "0,6.643397797997952e-297"
-        code, out, _ = run_cli("fit-killer", kout, vout, "--no-timestamp")
+        code, out, _ = run_cli("fit-killer", kout, vout)
         assert code == 0
         assert json.loads(out)["payload"]["n_dropped"] == 0
+
+
+def command_cases(tmp_path):
+    """Each command's arguments and the files it reads, first the one
+    its report lists first."""
+    killer = write_csv(tmp_path / "k.csv", [(y, 2.0 * y**3) for y in range(1, 11)])
+    victim = write_csv(tmp_path / "v.csv", [(y, float(y)) for y in range(1, 11)])
+    shares = write_csv(tmp_path / "s.csv", [(y, y / 10.0) for y in range(1, 10)])
+    manifest = constant_gap_manifest(tmp_path)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({
+        "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
+        "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
+        "years": {"first": 0, "last": 30},
+    }))
+    return {
+        "fit-killer": (["fit-killer", killer, victim], [killer, victim]),
+        "fisher-pry": (["fisher-pry", shares], [shares]),
+        "waves": (["waves", manifest], [manifest, *(tmp_path / f"{t}.csv" for t in "abc")]),
+        "simulate": (
+            ["simulate", params, "--killer-out", tmp_path / "ko.csv",
+             "--victim-out", tmp_path / "vo.csv"],
+            [params],
+        ),
+    }
 
 
 class TestInputsReadOnce:
     """Each command opens each input it reads once, and a report lists the
     digest of the bytes that were parsed."""
 
-    def cases(self, tmp_path):
-        """Each command's arguments and the files it reads, first the one
-        its report lists first."""
-        killer = write_csv(tmp_path / "k.csv", [(y, 2.0 * y**3) for y in range(1, 11)])
-        victim = write_csv(tmp_path / "v.csv", [(y, float(y)) for y in range(1, 11)])
-        shares = write_csv(tmp_path / "s.csv", [(y, y / 10.0) for y in range(1, 10)])
-        manifest = constant_gap_manifest(tmp_path)
-        params = tmp_path / "p.json"
-        params.write_text(json.dumps({
-            "victim": {"K": 100.0, "a": 5.0, "b": 0.5},
-            "killer": {"K": 200.0, "a": 8.0, "b": 1.0},
-            "years": {"first": 0, "last": 30},
-        }))
-        return {
-            "fit-killer": (["fit-killer", killer, victim], [killer, victim]),
-            "fisher-pry": (["fisher-pry", shares], [shares]),
-            "waves": (["waves", manifest], [manifest, *(tmp_path / f"{t}.csv" for t in "abc")]),
-            "simulate": (
-                ["simulate", params, "--killer-out", tmp_path / "ko.csv",
-                 "--victim-out", tmp_path / "vo.csv"],
-                [params],
-            ),
-        }
-
     @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves", "simulate"])
     def test_each_input_is_opened_once(self, run_cli, tmp_path, monkeypatch, command):
-        argv, inputs = self.cases(tmp_path)[command]
+        argv, inputs = command_cases(tmp_path)[command]
         real, reads = builtins.open, []
 
         def counting_open(file, mode="r", *args, **kwargs):
@@ -1219,7 +1205,7 @@ class TestInputsReadOnce:
         """The first input is rewritten after it is parsed, when a series
         is first restricted to the period (None here), and before the report
         is built."""
-        argv, inputs = self.cases(tmp_path)[command]
+        argv, inputs = command_cases(tmp_path)[command]
         parsed = inputs[0].read_bytes()
         restrict = TimeSeries.restrict
 
@@ -1228,21 +1214,67 @@ class TestInputsReadOnce:
             return restrict(series, bounds)
 
         monkeypatch.setattr(TimeSeries, "restrict", rewrite_then_restrict)
-        code, out, _ = run_cli(*argv, "--no-timestamp")
+        code, out, _ = run_cli(*argv)
         assert code == 0
         assert inputs[0].read_bytes() != parsed
         digests = [entry["sha256"] for entry in json.loads(out)["inputs"]]
         assert digests[0] == hashlib.sha256(parsed).hexdigest()
 
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves", "simulate"])
+    def test_leading_byte_order_mark_is_skipped(self, run_cli, tmp_path, command):
+        """Inputs saved with a UTF-8 byte-order mark, as Excel ("CSV UTF-8")
+        and Notepad save them, give the output of the files without one; a
+        report lists the digest of the bytes on disk, mark included."""
+        argv, inputs = command_cases(tmp_path)[command]
+
+        def run():
+            code, out, err = run_cli(*argv)
+            assert code == 0, err
+            if command == "simulate":
+                return [(tmp_path / f).read_bytes() for f in ("ko.csv", "vo.csv")]
+            return json.loads(out)
+
+        plain = run()
+        for path in inputs:
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        marked = run()
+        if command != "simulate":
+            plain["inputs"] = [
+                {**entry, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                for entry, path in zip(plain["inputs"], inputs)
+            ]
+        assert marked == plain
+
+
+class TestReportFields:
+    """Every report has the same top-level fields in one order, none of
+    which varies between runs (tests/test_golden.py pins the bytes)."""
+
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves"])
+    def test_top_level_keys(self, run_cli, tmp_path, command):
+        code, out, err = run_cli(*command_cases(tmp_path)[command][0])
+        assert code == 0, err
+        assert list(json.loads(out)) == [
+            "tool", "version", "command", "dataset", "log_base",
+            "inputs", "payload", "narrative", "warnings",
+        ]
+
+    @pytest.mark.parametrize("command", ["fit-killer", "fisher-pry", "waves"])
+    def test_no_timestamp_is_an_unrecognized_argument(self, run_cli, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command_cases(tmp_path)[command][0], "--no-timestamp")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-timestamp" in capsys.readouterr().err
+
 
 class TestImportBoundary:
     """No command loads numpy or scipy, simulate with noise included. The
-    records, the CLI, the SVG escaping, the t test of B = 1, the exact
-    regression and wave sums and the report timestamp load none of the
-    stdlib modules in HEAVY (added to what the interpreter loaded at
-    start-up), in any command; digests use CPython's built-in SHA-256, so
-    no command loads hashlib or OpenSSL's _hashlib. Without site (python
-    -S), no command loads pathlib or typing either."""
+    records, the CLI, the SVG escaping, the t test of B = 1 and the exact
+    regression and wave sums load none of the stdlib modules in HEAVY
+    (added to what the interpreter loaded at start-up), in any command;
+    digests use CPython's built-in SHA-256, so no command loads hashlib or
+    OpenSSL's _hashlib. Without site (python -S), no command loads pathlib
+    or typing either."""
 
     HEAVY = (
         "dataclasses", "inspect", "statistics", "fractions", "decimal", "html", "datetime"
@@ -1270,11 +1302,11 @@ class TestImportBoundary:
         stages.append(loaded())
         assert main(["simulate", params, "--killer-out", k, "--victim-out", v]) == 0
         stages.append(loaded())
-        assert main(["fit-killer", k, v, "--regime-tolerance", "abs:0.1", "--no-timestamp"]) == 0
+        assert main(["fit-killer", k, v, "--regime-tolerance", "abs:0.1"]) == 0
         stages.append(loaded())
         assert main(["fisher-pry", shares]) == 0
         stages.append(loaded())
-        assert main(["fit-killer", k, v, "--no-timestamp"]) == 0
+        assert main(["fit-killer", k, v]) == 0
         stages.append(loaded())
         assert main(["waves", manifest]) == 0
         stages.append(loaded())
@@ -1364,9 +1396,9 @@ class TestParsers:
     VALID = [
         ["fit-killer", "k.csv", "v.csv"],
         ["fit-killer", "k.csv", "v.csv", "--period", "2000:2010", "--plot", "p.svg",
-         "--regime-tolerance", "abs:0.1", "--no-timestamp", "--output", "r.json"],
+         "--regime-tolerance", "abs:0.1", "--output", "r.json"],
         ["fisher-pry", "s.csv"],
-        ["fisher-pry", "s.csv", "--period", "1:5", "--plot", "p.svg", "--no-timestamp"],
+        ["fisher-pry", "s.csv", "--period", "1:5", "--plot", "p.svg"],
         ["waves", "m.json"],
         ["waves", "m.json", "--threshold", "2.5", "--output", "r.json"],
         ["simulate", "p.json", "--killer-out", "k.csv", "--victim-out", "v.csv"],
@@ -1393,16 +1425,16 @@ class TestParsers:
         assert exc.value.code == 2
         code, out, _ = run_cli(
             "fit-killer", killer, victim, "--period", "2003:2007",
-            "--regime-tolerance", "abs:0.1", "--no-timestamp",
+            "--regime-tolerance", "abs:0.1",
         )
         assert code == 0
         payload = json.loads(out)["payload"]
         assert (payload["n"], payload["regime"]) == (5, "proportional-growth")
-        code, out, _ = run_cli("fit-killer", killer, victim, "--no-timestamp")
+        code, out, _ = run_cli("fit-killer", killer, victim)
         assert code == 0
         payload = json.loads(out)["payload"]
         assert (payload["n"], payload["regime"]) == (10, "development")
-        fresh = run_python("-m", "techsub.cli", "fit-killer", killer, victim, "--no-timestamp")
+        fresh = run_python("-m", "techsub.cli", "fit-killer", killer, victim)
         assert fresh.returncode == 0, fresh.stderr
         assert out == fresh.stdout
 

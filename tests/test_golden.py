@@ -1,20 +1,24 @@
 """Pinned output bytes of all four commands on fixed inputs.
 
-Every report (``--no-timestamp``, inputs named by relative path), both
-SVG plots and both noise-free simulate CSVs are compared by sha256 with
-digests recorded before the CLI stopped re-deriving fitted data. The
-three fit reports were re-pinned when the regression moved to math.fsum
-sums and a pure-Python t tail, and again when it moved to exact integer
-sums with correctly rounded results: each time only float fields moved,
-in their last digits. A refactor that changes any output byte fails here; a deliberate
-output change must update the digest and say why.
+Every report (inputs named by relative path), both SVG plots and both
+noise-free simulate CSVs are compared by sha256 with digests recorded
+before the CLI stopped re-deriving fitted data. The three fit reports were
+re-pinned when the regression moved to math.fsum sums and a pure-Python t
+tail, and again when it moved to exact integer sums with correctly rounded
+results: each time only float fields moved, in their last digits. A
+refactor that changes any output byte fails here; a deliberate output
+change must update the digest and say why. Fresh interpreters under
+different string-hash seeds write the same bytes, so no output depends on
+the iteration order of a set or dict of strings.
 """
 
 import hashlib
 import json
 import math
 
-from conftest import write_csv, write_manifest
+import pytest
+
+from conftest import run_python, write_csv, write_manifest
 
 GOLDEN = {
     "sim_victim.csv": "8a6a600e9841c8fe49170fec99c6f5328ba39ea9fe2117805d5abd95d9b9f131",
@@ -58,25 +62,46 @@ def write_inputs(tmp_path):
     }))
 
 
+RUNS = [
+    ("simulate", "sim.json", "--killer-out", "sim_killer.csv", "--victim-out", "sim_victim.csv"),
+    ("fit-killer", "killer.csv", "victim.csv", "--period", "1981:2004", "--plot", "fit.svg",
+     "--output", "fit_ttest.json"),
+    ("fit-killer", "killer.csv", "victim.csv", "--regime-tolerance", "abs:0.1",
+     "--output", "fit_abs.json"),
+    ("fisher-pry", "shares.csv", "--period", "1982:2003", "--plot", "fp.svg",
+     "--output", "fp.json"),
+    ("waves", "m.json", "--output", "waves.json"),
+]
+
+
+def digests(directory):
+    return {
+        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+        for name in GOLDEN
+    }
+
+
 def test_all_commands_match_pinned_bytes(run_cli, tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
-    runs = [
-        ("simulate", "sim.json", "--killer-out", "sim_killer.csv",
-         "--victim-out", "sim_victim.csv"),
-        ("fit-killer", "killer.csv", "victim.csv", "--no-timestamp", "--period",
-         "1981:2004", "--plot", "fit.svg", "--output", "fit_ttest.json"),
-        ("fit-killer", "killer.csv", "victim.csv", "--no-timestamp",
-         "--regime-tolerance", "abs:0.1", "--output", "fit_abs.json"),
-        ("fisher-pry", "shares.csv", "--no-timestamp", "--period", "1982:2003",
-         "--plot", "fp.svg", "--output", "fp.json"),
-        ("waves", "m.json", "--no-timestamp", "--output", "waves.json"),
-    ]
-    for argv in runs:
+    for argv in RUNS:
         code, _, err = run_cli(*argv)
         assert code == 0, err
-    got = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN
-    }
-    assert got == GOLDEN
+    assert digests(tmp_path) == GOLDEN
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_bytes_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch, seed):
+    """Every command of RUNS, in one fresh interpreter per seed."""
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    script = (
+        "import json, sys\n"
+        "from techsub.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    done = run_python("-c", script, json.dumps(RUNS))
+    assert done.returncode == 0, done.stderr
+    assert digests(tmp_path) == GOLDEN

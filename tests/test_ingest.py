@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import codecs
 from pathlib import Path
 
 from conftest import check_record, make_series, write_csv, write_manifest
@@ -469,6 +470,20 @@ class TestErrorsNameTheFile:
             f"{path}: line 3: invalid JSON (Expecting value: line 3 column 6 (char 15))"
         )
         assert info.value.line == 3
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """A series CSV and a manifest saved with a UTF-8 byte-order mark, as
+        Excel ("CSV UTF-8") and Notepad save them, read as the files without
+        one; only one mark is skipped, so a second is refused as text."""
+        series = write_csv(tmp_path / "s.csv", [(2000, 1.0), (2001, 2.5)])
+        manifest = write_manifest(tmp_path / "m.json", {"series": [{"file": "s.csv"}]})
+        plain = read_series(series), load_manifest(manifest)
+        for path in (series, manifest):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert (read_series(series), load_manifest(manifest)) == plain
+        series.write_bytes(codecs.BOM_UTF8 + series.read_bytes())
+        with pytest.raises(ParseError, match="line 1: expected header"):
+            read_series(series)
 
 
 STEMS = [

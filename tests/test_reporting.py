@@ -15,7 +15,6 @@ from techsub.reporting import (
     regime_narrative,
     render_report,
     significance_stars,
-    utc_timestamp,
 )
 
 
@@ -97,7 +96,7 @@ def test_narrative_full_text(regime, beta, sentence, co_movement):
 
 def digest(data: bytes) -> str:
     """The sha256 build_report lists for one input whose parsed bytes are data."""
-    return build_report("c", "d", {}, [("input.csv", data)], timestamp=False)["inputs"][0]["sha256"]
+    return build_report("c", "d", {}, [("input.csv", data)])["inputs"][0]["sha256"]
 
 
 class TestFileDigest:
@@ -134,7 +133,6 @@ class TestBuildReport:
             payload={"x": 0.1 + 0.2},
             inputs=[("input.csv", data)],
             narrative="n",
-            timestamp=False,
         )
         keys = list(doc.keys())
         assert keys == [
@@ -147,7 +145,7 @@ class TestBuildReport:
 
     def test_numeric_fields_survive_serialization_exactly(self):
         value = 0.1 + 0.2  # not exactly representable in decimal
-        doc = build_report("c", "d", {"v": value, "inf": float("inf")}, [], timestamp=False)
+        doc = build_report("c", "d", {"v": value, "inf": float("inf")}, [])
         back = json.loads(render_report(doc))
         assert back["payload"]["v"] == value
         assert back["payload"]["inf"] is None
@@ -159,34 +157,9 @@ class TestBuildReport:
         def refuse(constant):
             raise ValueError(f"non-RFC 8259 constant {constant}")
 
-        doc = build_report("c", "d", payload, [], warnings=["w"], timestamp=False)
+        doc = build_report("c", "d", payload, [], warnings=["w"])
         back = json.loads(render_report(doc), parse_constant=refuse)
         bad = [k for k, v in payload.items() if not math.isfinite(v)]
         assert back["payload"] == {k: None if k in bad else v for k, v in payload.items()}
         assert back["warnings"][0] == "w"
         assert [w.split(" ", 1)[0] for w in back["warnings"][1:]] == bad
-
-    def test_timestamp_toggle(self):
-        inputs = [("input.csv", b"year,value\n2000,1.0\n")]
-        with_ts = build_report("c", "d", {}, inputs, timestamp=True)
-        without = build_report("c", "d", {}, inputs, timestamp=False)
-        assert "timestamp" in with_ts
-        assert "timestamp" not in without
-
-    @pytest.mark.parametrize(
-        "ns",
-        [
-            0,  # the epoch: no fraction
-            999,  # below a microsecond: floored, no fraction
-            1_000,
-            -1,  # floored into the second before the epoch
-            951_782_400_000_000_000,  # a leap day, no fraction
-            1_760_000_000_123_456_789,
-            4_102_444_799_999_999_999,
-        ],
-    )
-    def test_timestamp_text_matches_datetime(self, ns):
-        from datetime import datetime, timedelta, timezone
-
-        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-        assert utc_timestamp(ns) == (epoch + timedelta(microseconds=ns // 1000)).isoformat()

@@ -350,7 +350,7 @@ class TestWavesPayload:
     def test_payload_is_the_waves_report_payload(self, tmp_path):
         write_inputs(tmp_path)
         output = tmp_path / "waves.json"
-        argv = ["waves", str(tmp_path / "m.json"), "--no-timestamp", "--output", str(output)]
+        argv = ["waves", str(tmp_path / "m.json"), "--output", str(output)]
         assert main(argv) == 0
         series = [read_series(tmp_path / f) for f in ("a.csv", "b.csv", "c.csv")]
         payload, warnings = waves_payload([(s, extract_wave_events(s)) for s in series])
